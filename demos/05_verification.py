@@ -1,8 +1,10 @@
-"""The verification engine: relation suites checked exactly on windows.
+"""The verification engine: relation suites checked exactly on all of V^(x)r.
 
 Each relation instance is a pair of operator words evaluated on every
-basis tensor of a finite window; pass means the difference vanishes
-identically there.  A deliberately corrupted relation demonstrates what
+basis tensor with indices in [1, n] (the r! permutations of 1..r for an
+omega-space relation).  Every symbol commutes with adding n to any one
+index, so a vanishing difference there vanishes on all of V^(x)r, and a
+pass is complete.  A deliberately corrupted relation demonstrates what
 failure looks like.
 """
 from aschur.present import (
@@ -18,7 +20,7 @@ from aschur.weights import Weight
 
 n, r = 3, 2
 
-print("The defining presentation suite (finite window, exact):")
+print("The defining presentation suite (exact, complete on V^(x)r):")
 for rep in run_suite("schur-presentation", n, r):
     print(" ", rep.line())
 

@@ -428,5 +428,6 @@ def semidirect_decompose(w: AffinePerm) -> tuple[AffinePerm, AffinePerm]:
     r = w.r
     s = AffinePerm.from_images(r, (_bar(w.apply(i), r) for i in range(1, r + 1)))
     t = s.inverse() * w
-    assert all(t.apply(x) % r == x % r for x in range(1, r + 1))
+    if any(t.apply(x) % r != x % r for x in range(1, r + 1)):
+        raise RuntimeError(f"{t.render()} is not a translation")
     return s, t

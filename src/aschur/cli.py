@@ -45,8 +45,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _parse_word(text: str) -> tuple[Sym, ...]:
-    """Words like 'E1 F2 K3 Kinv1 R Rinv P(1,1,0) e1 f2 H3'."""
+def _parse_word(text: str, n: int) -> tuple[Sym, ...]:
+    """Words like 'E1 F2 K3 Kinv1 R Rinv P(1,1,0) e1 f2 H3'; indices in 1..n."""
     syms: list[Sym] = []
     for tok in text.split():
         if tok == "R":
@@ -58,10 +58,15 @@ def _parse_word(text: str) -> tuple[Sym, ...]:
         elif tok.startswith("Kinv"):
             syms.append(Kinv(int(tok[4:])))
         elif tok[0] in "EFKefH":
-            kind = tok[0]
-            syms.append(Sym(kind if kind in "efH" else kind, int(tok[1:])))
+            syms.append(Sym(tok[0], int(tok[1:])))
         else:
             raise UsageError(f"cannot parse word symbol {tok!r}")
+        sym = syms[-1]
+        bad_weight = sym.kind == "P" and sym.weight.n != n
+        bad_index = sym.kind not in ("P", "R", "Rinv") and not 1 <= sym.index <= n
+        if bad_weight or bad_index:
+            raise UsageError(f"symbol {tok!r} does not fit n = {n}: indices lie in 1..{n}, "
+                             f"weights have {n} parts")
     return tuple(syms)
 
 
@@ -169,10 +174,12 @@ def _cmd_schur(args) -> int:
 
 def _cmd_tensor(args) -> int:
     n = args.n
+    if n < 1:
+        raise UsageError(f"--n must be positive (got {n})")
     if args.action == "act":
         if not args.word or not args.vector:
             raise UsageError("act needs --word and --vector")
-        word = _parse_word(args.word)
+        word = _parse_word(args.word, n)
         vec = act_expr_basis(n, OperatorExpr.word(word), _parse_ints(args.vector))
         _emit(args, render_vector(vec),
               {"schema": "aschur.vector/1",
@@ -181,6 +188,8 @@ def _cmd_tensor(args) -> int:
                    for b, c in sorted(vec.items())
                ]})
     elif args.action == "weightspace":
+        if not args.lam:
+            raise UsageError("weightspace needs --lambda")
         lam = parse_weight(args.lam)
         hi = args.hi if args.hi is not None else n
         basis = weight_space_basis(n, lam, args.lo, hi)
@@ -193,7 +202,7 @@ def _cmd_tensor(args) -> int:
 def _cmd_verify(args) -> int:
     if args.suite not in ("finite-schur", "classical"):
         _require_affine(args.n, args.r)
-    reports = run_suite(args.suite, args.n, args.r, args.window_radius)
+    reports = run_suite(args.suite, args.n, args.r)
     failures = 0
     for rep in reports:
         if args.format == "structured":
@@ -335,7 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="relation suites")
     v.add_argument("--suite", required=True, choices=SUITE_NAMES)
     common(v, need_n=True)
-    v.add_argument("--window-radius", type=int, default=None)
     v.set_defaults(func=_cmd_verify)
 
     m = sub.add_parser("monomial", help="transport monomials and E_n factorization")

@@ -135,9 +135,6 @@ class OperatorExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def max_word_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def render(self) -> str:
         if not self.terms:
             return "0"

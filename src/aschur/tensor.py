@@ -14,16 +14,20 @@ position j carries the grouplike twist K_i K_{i+1}^-1 on every position
 after j, and the F_i term carries the inverse twist on every position
 before j.  The classical generators e_i, f_i act by the same position
 sums with no twist, and H_i acts by the integer weight entry.
+
+Every symbol's coefficients and targets depend only on the residues
+t_j mod n, and it moves entries by fixed displacements.  So the action
+commutes with adding n to any single coordinate of a basis tensor, and
+an operator identity that holds on the n^r basis tensors with indices in
+[1, n] holds on all of V^(x)r (the verification engine relies on this).
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
-from typing import Iterator
 
 from .operators import E, F, OperatorExpr, R, Rinv, Sym, Word, chain
 from .ring import LaurentPoly
-from .weights import Weight, omega
+from .weights import Weight
 
 Basis = tuple[int, ...]
 Vector = dict[Basis, LaurentPoly]
@@ -148,10 +152,6 @@ def act_expr_basis(n: int, expr: OperatorExpr, b: Basis) -> Vector:
     return act_expr(n, expr, {b: LaurentPoly.one()})
 
 
-def vec_eq(a: Vector, b: Vector) -> bool:
-    return a == b
-
-
 def vec_sub(a: Vector, b: Vector) -> Vector:
     out = dict(a)
     for k, c in b.items():
@@ -175,14 +175,7 @@ def render_vector(vec: Vector) -> str:
     )
 
 
-# -- window enumeration ---------------------------------------------------------
-
-
-def window_basis(r: int, lo: int, hi: int) -> Iterator[Basis]:
-    """All r-tuples with entries in [lo, hi]."""
-    if hi < lo:
-        raise ValueError("empty window")
-    return product(range(lo, hi + 1), repeat=r)
+# -- weight spaces ----------------------------------------------------------------
 
 
 def weight_space_basis(n: int, lam: Weight, lo: int, hi: int) -> list[Basis]:
@@ -192,7 +185,9 @@ def weight_space_basis(n: int, lam: Weight, lo: int, hi: int) -> list[Basis]:
     [(1, 2), (2, 1)]
     """
     if hi < lo:
-        raise ValueError("empty window")
+        raise ValueError("empty index range")
+    if lam.n != n:
+        raise ValueError(f"weight {lam.render()} has {lam.n} parts, not n = {n}")
     r = lam.r
     out: list[Basis] = []
     values = list(range(lo, hi + 1))
@@ -256,7 +251,3 @@ def tau(n: int, r: int, name: str, variant: str = "with-R") -> OperatorExpr:
                 * tau(n, r, "rho-inv", variant)
             )
     raise ValueError(f"unknown endomorphism name {name!r}")
-
-
-def omega_window_basis(n: int, r: int, lo: int, hi: int) -> list[Basis]:
-    return weight_space_basis(n, omega(n, r), lo, hi)

@@ -59,11 +59,11 @@ def verdict(tag: str, ok: bool, detail: str):
     assert ok, f"{tag} failed: {detail}"
 
 
-def run_and_report(tag, suite_names, instances, radius=None):
+def run_and_report(tag, suite_names, instances):
     checked, failures = 0, []
     for n, r in instances:
         for name in suite_names:
-            for rep in run_suite(name, n, r, radius):
+            for rep in run_suite(name, n, r):
                 checked += 1
                 if not rep.passed:
                     failures.append((n, r, rep.line()))

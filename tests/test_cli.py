@@ -93,6 +93,19 @@ def test_tensor_commands(capsys):
     assert rec["vectors"] == [[1, 2], [2, 1]]
 
 
+def test_tensor_rejects_bad_weights_and_indices(capsys):
+    # the weight must have n parts and every generator index lie in 1..n
+    for argv in (
+        ("tensor", "weightspace", "--n", "3", "--lambda", "1,1"),
+        ("tensor", "act", "--n", "3", "--word", "E0", "--vector", "1,2"),
+        ("tensor", "act", "--n", "3", "--word", "Kinv4", "--vector", "1,2"),
+        ("tensor", "act", "--n", "3", "--word", "P(1,1)", "--vector", "1,2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("usage error: ") and err.count("\n") == 1, (argv, err)
+
+
 def test_verify_pass_and_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "schur-presentation", "--n", "3", "--r", "2")
     assert code == 0

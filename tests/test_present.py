@@ -1,9 +1,12 @@
 import random
+from itertools import permutations, product
 
 import pytest
 
 from aschur.operators import E, F, OperatorExpr, P, R, Sym
 from aschur.present import (
+    SUITE_NAMES,
+    RelationInstance,
     build_M,
     cancellation,
     cancellation_word,
@@ -24,7 +27,14 @@ from aschur.present import (
     zeta,
 )
 from aschur.ring import LaurentPoly, quantum_fact
-from aschur.tensor import act_expr_basis, weight_space_basis, window_basis
+from aschur.tensor import (
+    act_expr_basis,
+    render_basis,
+    tau,
+    vec_sub,
+    weight_of,
+    weight_space_basis,
+)
 from aschur.weights import Weight, all_weights, omega
 
 ONE = LaurentPoly.one()
@@ -37,7 +47,7 @@ def test_projector_action():
     assert act_expr_basis(3, p, (1, 1)) == {}
     # idempotent, orthogonal, summing to the identity on a window
     weights = all_weights(3, 2)
-    for b in window_basis(2, 0, 4):
+    for b in product(range(0, 5), repeat=2):
         total = {}
         for lam in weights:
             out = act_expr_basis(3, projector(lam), b)
@@ -69,7 +79,7 @@ def test_k_reconstruction_from_projectors():
             for lam in all_weights(n, r):
                 total = total + projector(lam).scaled(LaurentPoly.v(sign * lam.entry(i)))
             kword = OperatorExpr.word([K(i) if sign == 1 else Kinv(i)])
-            for b in window_basis(r, -1, n + 1):
+            for b in product(range(-1, n + 2), repeat=r):
                 assert act_expr_basis(n, total, b) == act_expr_basis(n, kword, b)
 
 
@@ -92,6 +102,55 @@ def test_verify_identity_negative_control():
     assert rep.counterexample is not None
 
 
+def _corrupted_tau_quadratic(n: int, r: int) -> RelationInstance:
+    """tau(s_1)^2 = (q-1) tau(s_1) + (q+1): the constant should be q."""
+    q = LaurentPoly.q()
+    t = tau(n, r, "s1")
+    return RelationInstance(
+        "tau-quadratic-corrupted", "tau(s_1)^2 = (q-1) tau(s_1) + q + 1",
+        t * t, t.scaled(q - 1) + OperatorExpr.one().scaled(q + 1), basis="omega")
+
+
+def test_omega_negative_control():
+    # the omega domain is the r! permutations of (1, ..., r), and it is
+    # large enough to catch a wrong coefficient
+    n, r = 4, 3
+    domain = weight_space_basis(n, omega(n, r), 1, n)
+    assert sorted(domain) == sorted(permutations(range(1, r + 1)))
+    rep = verify_identity(n, r, _corrupted_tau_quadratic(n, r))
+    assert not rep.passed
+    assert rep.counterexample.split(" -> ")[0] in {render_basis(b) for b in domain}
+
+
+def _window_verdict(n: int, r: int, inst: RelationInstance) -> bool:
+    """lhs = rhs on [1-L, n+L]^r with L the longest word (at least 1),
+    restricted to weight omega for an omega-space relation: the window
+    verify_identity used to check, kept as an oracle for its domain."""
+    L = max([len(w) for e in (inst.lhs, inst.rhs) for w in e.terms] + [1])
+    vectors = product(range(1 - L, n + L + 1), repeat=r)
+    if inst.basis == "omega":
+        vectors = (b for b in vectors if weight_of(n, b) == omega(n, r))
+    return all(
+        not vec_sub(act_expr_basis(n, inst.lhs, b), act_expr_basis(n, inst.rhs, b))
+        for b in vectors
+    )
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 2)])
+def test_domain_verdicts_match_window(n, r):
+    insts = [q15_instance(n, r, corrupt=True), _corrupted_tau_quadratic(n, r)]
+    for name in SUITE_NAMES:
+        if name != "q17-19":  # the phi-basis suite never reaches verify_identity
+            insts += suite(name, n, r)
+    verdicts = []
+    for inst in insts:
+        rep = verify_identity(n, r, inst)
+        assert "; complete on V" in rep.window
+        assert rep.passed == _window_verdict(n, r, inst), rep.line()
+        verdicts.append(rep.passed)
+    assert verdicts[:2] == [False, False] and all(verdicts[2:])
+
+
 def test_commute_projector():
     lam = Weight((1, 1, 0))
     out = commute_projector("E", 1, lam)
@@ -106,7 +165,7 @@ def test_commute_projector():
             for kind, sym in (("E", E(i)), ("F", F(i))):
                 lhs = OperatorExpr.word([sym, P(lamw)])
                 rhs = commute_projector(kind, i, lamw)
-                for b in window_basis(r, -1, n + 1):
+                for b in product(range(-1, n + 2), repeat=r):
                     assert act_expr_basis(n, lhs, b) == act_expr_basis(n, rhs, b)
 
 
@@ -260,7 +319,7 @@ def test_zeta_right_anchor():
     for name in ("s1", "rho", "rho-inv", f"s{r}"):
         z = zeta(n, r, name)
         anchored = projector(om) * z
-        for b in window_basis(r, -2, n + 2):
+        for b in product(range(-2, n + 3), repeat=r):
             assert act_expr_basis(n, z, b) == act_expr_basis(n, anchored, b)
 
 

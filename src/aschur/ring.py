@@ -1,13 +1,19 @@
-"""Exact Laurent polynomials in the variable v, with rational coefficients.
+"""Exact Laurent polynomials in the variable v: the ring Z[v, v^-1].
 
-Every scalar in this package lives here.  The convention throughout is
-q = v^2, so q-side quantities are Laurent polynomials whose exponents are
-all even; quantum integers [m] = (v^m - v^-m)/(v - v^-1), quantum
-factorials [m]! and balanced Gaussian binomial coefficients are provided
-as constructors.
+Every scalar in this package lives here.  Coefficients are Python ints;
+a rational coefficient (a `Fraction`) appears only where a division
+forces one: `exact_div` by a polynomial whose leading coefficient is not
+a unit, a negative power of a non-unit monomial, or an input that is
+rational already.  `specialize` returns a `Fraction`.
+
+The convention throughout is q = v^2, so q-side quantities are Laurent
+polynomials whose exponents are all even; quantum integers
+[m] = (v^m - v^-m)/(v - v^-1), quantum factorials [m]! and balanced
+Gaussian binomial coefficients are provided as constructors.
 
 Polynomials are immutable and kept in canonical form (no zero
-coefficients stored), so equality is plain structural equality.
+coefficients stored, and an integral coefficient is always an int), so
+equality is plain structural equality.
 """
 from __future__ import annotations
 
@@ -18,7 +24,9 @@ Scalar = Union[int, Fraction]
 
 
 class LaurentPoly:
-    """A sparse Laurent polynomial {exponent: coefficient} over Q.
+    """A sparse Laurent polynomial {exponent: coefficient} in Z[v, v^-1].
+
+    Coefficients are ints; only division makes a non-integral `Fraction`.
 
     >>> (LaurentPoly.v() + LaurentPoly.v(-1)) ** 2
     LaurentPoly('v^2 + 2 + v^-2')
@@ -29,12 +37,12 @@ class LaurentPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
-        c: dict[int, Fraction] = {}
+        c: dict[int, Scalar] = {}
         if coeffs:
             for e, x in coeffs.items():
-                fx = Fraction(x)
-                if fx:
-                    c[int(e)] = fx
+                x = _canon(x)
+                if x:
+                    c[int(e)] = x
         self._c = c
 
     # -- constructors ------------------------------------------------------
@@ -66,10 +74,10 @@ class LaurentPoly:
         return not self._c
 
     def is_one(self) -> bool:
-        return self._c == {0: Fraction(1)}
+        return self._c == {0: 1}
 
-    def coeff(self, exponent: int) -> Fraction:
-        return self._c.get(exponent, Fraction(0))
+    def coeff(self, exponent: int) -> Scalar:
+        return self._c.get(exponent, 0)
 
     def items(self):
         return self._c.items()
@@ -91,11 +99,11 @@ class LaurentPoly:
         other = _coerce(other)
         c = dict(self._c)
         for e, x in other._c.items():
-            y = c.get(e, Fraction(0)) + x
+            y = c.get(e, 0) + x
             if y:
-                c[e] = y
+                c[e] = y if type(y) is int else _canon(y)
             else:
-                c.pop(e, None)
+                del c[e]
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = c
         return out
@@ -115,17 +123,13 @@ class LaurentPoly:
 
     def __mul__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
         other = _coerce(other)
-        c: dict[int, Fraction] = {}
+        c: dict[int, Scalar] = {}
         for e1, x1 in self._c.items():
             for e2, x2 in other._c.items():
                 e = e1 + e2
-                y = c.get(e, Fraction(0)) + x1 * x2
-                if y:
-                    c[e] = y
-                else:
-                    c.pop(e, None)
+                c[e] = c.get(e, 0) + x1 * x2
         out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
+        out._c = {e: x if type(x) is int else _canon(x) for e, x in c.items() if x}
         return out
 
     __rmul__ = __mul__
@@ -135,7 +139,7 @@ class LaurentPoly:
             if not self.is_monomial():
                 raise ValueError("negative powers only for monomials")
             ((e, x),) = self._c.items()
-            return LaurentPoly({n * e: x**n})
+            return LaurentPoly({n * e: Fraction(x) ** n})
         out = LaurentPoly.one()
         base = self
         k = n
@@ -166,7 +170,7 @@ class LaurentPoly:
         return LaurentPoly({-e: x for e, x in self._c.items()})
 
     def specialize(self, value: Scalar) -> Fraction:
-        """Evaluate at v = value (an exact nonzero rational)."""
+        """Evaluate at v = value (an exact nonzero rational); a Fraction."""
         val = Fraction(value)
         if val == 0:
             raise ZeroDivisionError("cannot specialize a Laurent polynomial at 0")
@@ -190,12 +194,15 @@ class LaurentPoly:
         shift = self.valuation() - other.valuation()
         num = _dense(self)
         den = _dense(other)
-        quo = [Fraction(0)] * (len(num) - len(den) + 1)
+        quo = [0] * (len(num) - len(den) + 1)
         if len(num) < len(den):
             raise ValueError("not exactly divisible")
         rem = list(num)
+        lead = den[-1]
         for k in range(len(quo) - 1, -1, -1):
-            c = rem[k + len(den) - 1] / den[-1]
+            top = rem[k + len(den) - 1]
+            # 1/lead = lead for a unit; otherwise the quotient is rational.
+            c = top * lead if lead in (1, -1) else Fraction(top) / lead
             quo[k] = c
             if c:
                 for j, d in enumerate(den):
@@ -258,13 +265,21 @@ def _coerce(x: LaurentPoly | Scalar) -> LaurentPoly:
     return LaurentPoly({0: x})
 
 
-def _frac_str(x: Fraction) -> str:
+def _canon(x: Scalar) -> Scalar:
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    fx = Fraction(x)
+    return fx.numerator if fx.denominator == 1 else fx
+
+
+def _frac_str(x: Scalar) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _dense(p: LaurentPoly) -> list[Fraction]:
+def _dense(p: LaurentPoly) -> list[Scalar]:
     lo, hi = p.valuation(), p.degree()
-    out = [Fraction(0)] * (hi - lo + 1)
+    out = [0] * (hi - lo + 1)
     for e, x in p.items():
         out[e - lo] = x
     return out
@@ -273,6 +288,15 @@ def _dense(p: LaurentPoly) -> list[Fraction]:
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
 V = LaurentPoly.v()
+
+
+def add_term(d: dict, key, c: LaurentPoly) -> None:
+    """d[key] += c in place, dropping the key when the sum is zero."""
+    s = d.get(key, ZERO) + c
+    if s:
+        d[key] = s
+    else:
+        d.pop(key, None)
 
 
 def quantum_int(m: int) -> LaurentPoly:

@@ -24,7 +24,7 @@ from .aweyl import (
     is_double_coset_min,
 )
 from .hecke import HeckeElement, young_parabolic
-from .ring import LaurentPoly
+from .ring import LaurentPoly, add_term
 from .weights import Weight, all_weights, omega
 
 
@@ -87,11 +87,7 @@ class SchurElement:
         self._check(other)
         t = dict(self.terms)
         for k, c in other.terms.items():
-            s = t.get(k, LaurentPoly.zero()) + c
-            if s.is_zero():
-                t.pop(k, None)
-            else:
-                t[k] = s
+            add_term(t, k, c)
         return SchurElement(self.n, self.r, t)
 
     def __neg__(self) -> SchurElement:
@@ -130,13 +126,15 @@ class SchurElement:
 
     def __mul__(self, other: SchurElement) -> SchurElement:
         self._check(other)
-        out = SchurElement.zero(self.n, self.r)
+        out: dict[SchurBasisIndex, LaurentPoly] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 if k1.mu != k2.lam:
                     continue
-                out = out + _mul_basis(k1, k2).scaled(c1 * c2)
-        return out
+                c = c1 * c2
+                for k, x in _mul_basis(k1, k2).terms.items():
+                    add_term(out, k, x * c)
+        return SchurElement(self.n, self.r, out)
 
     # -- rendering ----------------------------------------------------------------
 
@@ -199,26 +197,26 @@ def expand_in_basis(lam: Weight, mu: Weight, value: HeckeElement) -> SchurElemen
 
     Greedy extraction: take a minimal-length support element (it is the
     minimal representative of its double coset), subtract its coset sum,
-    repeat.  Any nonzero remainder raises BasisExpansionError.
+    repeat.  The remainder is one working dict, updated in place.  Any
+    nonzero remainder raises BasisExpansionError.
     """
-    n = lam.n
-    r = lam.r
     pil, pim = young_parabolic(lam), young_parabolic(mu)
     out: dict[SchurBasisIndex, LaurentPoly] = {}
-    rem = value
-    while not rem.is_zero():
-        d = min(rem.terms, key=lambda w: (w.length(), w.z, w.window))
+    rem = dict(value.terms)
+    while rem:
+        d = min(rem, key=lambda w: (w.length(), w.z, w.window))
         if not is_double_coset_min(d, pil, pim):
             raise BasisExpansionError(
                 f"minimal support element {d.render()} is not coset-minimal"
             )
-        c = rem.coeff(d)
+        c = rem[d]
         idx = SchurBasisIndex(lam, mu, d)
-        rem = rem - phi_value(idx).scaled(c)
-        if d in rem.terms:
+        for w, x in phi_value(idx).terms.items():
+            add_term(rem, w, -(x * c))
+        if d in rem:
             raise BasisExpansionError("extraction failed to clear the pivot")
         out[idx] = c
-    return SchurElement(n, r, out)
+    return SchurElement(lam.n, lam.r, out)
 
 
 def identity_element(n: int, r: int) -> SchurElement:
@@ -242,9 +240,3 @@ def hecke_embed(h: HeckeElement, n: int) -> SchurElement:
     om = omega(n, r)
     terms = {SchurBasisIndex(om, om, w): c for w, c in h.terms.items()}
     return SchurElement(n, r, terms)
-
-
-def finite_subalgebra_check(d: AffinePerm) -> bool:
-    """Whether phi^d_{omega,omega} lies in the finite q-Schur subalgebra,
-    i.e. d belongs to the finite symmetric group."""
-    return d.is_finite()

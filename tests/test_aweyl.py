@@ -179,6 +179,44 @@ def test_double_coset_min():
         assert is_double_coset_min(d, pi, pi)
 
 
+def _product_coset(pi1, d, pi2):
+    """W_pi1 * d * W_pi2 from full products, without the cached enumerators."""
+    def group(pi):
+        gens = [AffinePerm.s(pi.r, i) for i in pi.gens]
+        out = {AffinePerm.identity(pi.r)}
+        frontier = list(out)
+        while frontier:
+            frontier = {u * g for u in frontier for g in gens} - out
+            out |= frontier
+        return out
+
+    return {a * d * b for a in group(pi1) for b in group(pi2)}
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_cached_double_coset_matches_products(r):
+    subsets = [(), *((i,) for i in range(1, r + 1)),
+               *((i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1))]
+    pis = [ParabolicIndex.make(r, gens) for gens in subsets]
+    short = list(enumerate_up_to_length(r, 2))
+    short += [w.mul_rho_left(z) for w in short for z in (-1, 1)]
+    checked = 0
+    members: dict[AffinePerm, AffinePerm] = {}
+    for pi1 in pis:
+        for pi2 in pis:
+            for d in short:
+                if not is_double_coset_min(d, pi1, pi2):
+                    continue
+                coset = enumerate_double_coset(pi1, d, pi2)
+                assert isinstance(coset, frozenset)
+                assert coset == _product_coset(pi1, d, pi2), (pi1, d, pi2)
+                assert enumerate_double_coset(pi1, d, pi2) is coset  # served from the cache
+                # cosets share their members: one object per element
+                assert all(members.setdefault(w, w) is w for w in coset)
+                checked += 1
+    assert checked > len(pis) ** 2
+
+
 def test_enumerate_parabolic():
     assert enumerate_parabolic(ParabolicIndex.make(3, ())) == {AffinePerm.identity(3)}
     small = enumerate_parabolic(ParabolicIndex.make(3, [1]))

@@ -166,3 +166,19 @@ def test_matrix_commands(capsys):
 def test_usage_error_reports_flag(capsys):
     code, _, err = run(capsys, "weyl", "length", "--r", "3", "--images", "1,4,3")
     assert code == 2 and "usage error" in err
+
+
+def test_dimensions_must_match_n_and_r(capsys):
+    # a permutation's period must be --r; a weight needs --n parts summing to --r
+    for argv in (
+        ("weyl", "length", "--r", "4", "--perm", "[2,1,3]"),
+        ("weyl", "reduced", "--r", "2", "--perm", "rho^1 * [1,2,3]"),
+        ("weyl", "compose", "--r", "3", "--a", "[2,1,3]", "--b", "[2,1]"),
+        ("weyl", "compose", "--r", "2", "--a", "[2,1,3]", "--b", "[2,1]"),
+        ("hecke", "mul", "--r", "4", "--a", "[2,1,3]", "--b", "[2,1,3]"),
+        ("monomial", "m1", "--n", "4", "--r", "3", "--lambda", "2,1,0"),
+        ("monomial", "m", "--n", "4", "--r", "3", "--lambda", "2,1,1,0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("usage error: ") and err.count("\n") == 1, (argv, err)

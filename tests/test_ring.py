@@ -137,6 +137,48 @@ def test_exact_div():
         (V + 1).exact_div(V + V.bar())
 
 
+ints = st.integers(-9, 9)
+int_laurents = st.dictionaries(st.integers(-6, 6), ints, max_size=5).map(LaurentPoly)
+
+
+def _all_int(p: LaurentPoly) -> bool:
+    return all(type(x) is int for _, x in p.items())
+
+
+@settings(max_examples=500, deadline=None)
+@given(int_laurents, int_laurents, st.integers(0, 3), st.integers(-4, 4), ints)
+def test_integer_inputs_keep_int_coefficients(a, b, k, e, x):
+    unit = LaurentPoly.v(e, -1 if x < 0 else 1)
+    for p in (a + b, a - b, a * b, -a, a + x, a * x, a**k, unit**-k, a.bar()):
+        assert _all_int(p), p
+    if b:
+        quo = (a * b).exact_div(b)  # exact even when b's leading coefficient is not a unit
+        assert quo == a and _all_int(quo)
+    assert a.coeff(e) == dict(a.items()).get(e, 0) and type(a.coeff(e)) is int
+
+
+def test_constructors_have_int_coefficients():
+    for m in range(0, 7):
+        assert _all_int(quantum_int(m)) and _all_int(quantum_fact(m))
+        for t in range(0, 5):
+            assert _all_int(gauss_binom(m, t)), (m, t)
+
+
+def test_rationals_only_from_division():
+    half = LaurentPoly({0: Fraction(1, 2)})
+    assert half.coeff(0) == Fraction(1, 2) and half.structured() == [[0, 1, 2]]
+    assert half.render() == "1/2"
+    # an integral Fraction is stored as an int, with the same structured form
+    two = LaurentPoly({1: Fraction(4, 2)})
+    assert type(two.coeff(1)) is int and two.structured() == [[1, 2, 1]]
+    assert two == 2 * V and hash(two) == hash(2 * V)
+    assert (V + 1).exact_div(LaurentPoly({1: 2, 0: 2})) == half
+    third = (V + 1).exact_div(LaurentPoly({1: 3, 0: 3}))
+    assert third.structured() == [[0, 1, 3]]  # exact, not a rounded binary fraction
+    assert LaurentPoly.v(1, 2) ** -1 == LaurentPoly({-1: Fraction(1, 2)})
+    assert _all_int(half + half) and half + half == ONE
+
+
 def test_render_modes():
     p = LaurentPoly({2: 1, 0: 2, -2: 1})
     assert p.render() == "v^2 + 2 + v^-2"

@@ -11,7 +11,6 @@ from aschur.schur import (
     SchurBasisIndex,
     SchurElement,
     expand_in_basis,
-    finite_subalgebra_check,
     hecke_embed,
     identity_element,
     phi_value,
@@ -126,9 +125,10 @@ def test_embed_examples_and_finite_check():
     e = AffinePerm.identity(r)
     om = omega(n, r)
     assert hecke_embed(t_element(e), n) == SchurElement.basis(SchurBasisIndex(om, om, e))
-    assert finite_subalgebra_check(AffinePerm.s(r, 1))
-    assert not finite_subalgebra_check(AffinePerm.rho(r))
-    assert not finite_subalgebra_check(AffinePerm.s(r, 2))  # affine generator
+    # phi^d_{omega,omega} lies in the finite q-Schur subalgebra iff d is finite
+    assert AffinePerm.s(r, 1).is_finite()
+    assert not AffinePerm.rho(r).is_finite()
+    assert not AffinePerm.s(r, 2).is_finite()  # affine generator
     with pytest.raises(ValueError):
         hecke_embed(t_element(e), 1)
 
@@ -158,6 +158,16 @@ def test_expansion_remainder_guard():
     bad = t_element(AffinePerm.s(2, 1))  # missing its coset partner T_1
     with pytest.raises(BasisExpansionError):
         expand_in_basis(lam, lam, bad)
+
+
+def test_expansion_rejects_unequal_coset_coefficients():
+    # the whole coset {e, s1} of W_(2) is present, but T_e + 2 T_{s1} is not
+    # a multiple of its coset sum: one T_{s1} is left after the first step
+    lam = Weight((2, 0, 0))
+    e, s1 = AffinePerm.identity(2), AffinePerm.s(2, 1)
+    value = t_element(e) + t_element(s1).scaled(LaurentPoly.const(2))
+    with pytest.raises(BasisExpansionError):
+        expand_in_basis(lam, lam, value)
 
 
 def test_phi_value_matches_x_lambda_action():

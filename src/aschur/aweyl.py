@@ -25,17 +25,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Literal
 
+from .weights import residue
+
 DEFAULT_LENGTH_BOUND = 8
 _LENGTH_BOUND_ENV = "ASCHUR_MAX_LENGTH"
 
 
 def enumeration_length_bound() -> int:
     return int(os.environ.get(_LENGTH_BOUND_ENV, DEFAULT_LENGTH_BOUND))
-
-
-def _bar(t: int, r: int) -> int:
-    """Residue of t mod r, in {1, ..., r}."""
-    return (t - 1) % r + 1
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ class ParabolicIndex:
 
     def shifted(self, t: int) -> ParabolicIndex:
         """Indices shifted by t, reduced mod r into {1..r}."""
-        return ParabolicIndex(self.r, frozenset(_bar(i + t, self.r) for i in self.gens))
+        return ParabolicIndex(self.r, frozenset(residue(i + t, self.r) for i in self.gens))
 
 
 @dataclass(frozen=True)
@@ -96,10 +93,10 @@ class AffinePerm:
             raise ValueError("generator index out of range")
         win = []
         for t in range(1, r + 1):
-            b = _bar(t, r)
-            if b == _bar(i, r):
+            b = residue(t, r)
+            if b == residue(i, r):
                 win.append(t + 1)
-            elif b == _bar(i + 1, r):
+            elif b == residue(i + 1, r):
                 win.append(t - 1)
             else:
                 win.append(t)
@@ -130,7 +127,7 @@ class AffinePerm:
         win = []
         for i in range(1, r + 1):
             t = i - z
-            t0 = _bar(t, r)
+            t0 = residue(t, r)
             win.append(images[t0 - 1] + (t - t0))
         return cls(r, z, tuple(win))
 
@@ -139,7 +136,7 @@ class AffinePerm:
     def apply(self, t: int) -> int:
         """(t)u for u = rho^z w: shift by z, then apply w periodically."""
         s = t + self.z
-        s0 = _bar(s, self.r)
+        s0 = residue(s, self.r)
         return self.window[s0 - 1] + (s - s0)
 
     def images(self) -> tuple[int, ...]:
@@ -156,7 +153,7 @@ class AffinePerm:
         imgs = [0] * self.r
         for j in range(1, self.r + 1):
             m = self.apply(j)
-            m0 = _bar(m, self.r)
+            m0 = residue(m, self.r)
             imgs[m0 - 1] = j + (m0 - m)
         return AffinePerm.from_images(self.r, imgs)
 
@@ -172,10 +169,10 @@ class AffinePerm:
     def mul_gen_right(self, i: int) -> AffinePerm:
         """u * s_i without renormalization (acts on window values)."""
         r = self.r
-        bi, bi1 = _bar(i, r), _bar(i + 1, r)
+        bi, bi1 = residue(i, r), residue(i + 1, r)
         win = []
         for x in self.window:
-            b = _bar(x, r)
+            b = residue(x, r)
             if b == bi:
                 win.append(x + 1)
             elif b == bi1:
@@ -187,10 +184,10 @@ class AffinePerm:
     def mul_gen_left(self, i: int) -> AffinePerm:
         """s_i * u; shifts the index across the rho part."""
         r = self.r
-        j = _bar(i + self.z, r)
+        j = residue(i + self.z, r)
         win = list(self.window)
         # s_j w swaps the arguments in residue classes j and j+1.
-        j1 = _bar(j + 1, r)
+        j1 = residue(j + 1, r)
         if j1 == j + 1:
             win[j - 1], win[j1 - 1] = win[j1 - 1], win[j - 1]
         else:
@@ -204,7 +201,7 @@ class AffinePerm:
         win = []
         for t in range(1, r + 1):
             s = t - k
-            s0 = _bar(s, r)
+            s0 = residue(s, r)
             win.append(self.window[s0 - 1] + (s - s0) + k)
         return AffinePerm(r, self.z + k, tuple(win))
 
@@ -436,7 +433,7 @@ def semidirect_decompose(w: AffinePerm) -> tuple[AffinePerm, AffinePerm]:
     (True, [3, 3, 3])
     """
     r = w.r
-    s = AffinePerm.from_images(r, (_bar(w.apply(i), r) for i in range(1, r + 1)))
+    s = AffinePerm.from_images(r, (residue(w.apply(i), r) for i in range(1, r + 1)))
     t = s.inverse() * w
     if any(t.apply(x) % r != x % r for x in range(1, r + 1)):
         raise RuntimeError(f"{t.render()} is not a translation")

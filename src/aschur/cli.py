@@ -22,6 +22,7 @@ from .latmat import (
 )
 from .present import (
     SUITE_NAMES,
+    SUITES,
     build_M,
     build_M1,
     build_M2,
@@ -34,7 +35,7 @@ from .present import (
 from .schur import SchurBasisIndex, SchurElement, hecke_embed, phi_value
 from .tensor import act_expr_basis, render_vector, weight_space_basis
 from .operators import Kinv, OperatorExpr, P, R, Rinv, Sym
-from .weights import parse_weight
+from .weights import Weight, parse_weight
 
 
 class UsageError(Exception):
@@ -83,6 +84,14 @@ def _require_affine(n: int, r: int):
             f"this command needs n > r (got n={n}, r={r}); "
             "the affine presentation only covers that range"
         )
+
+
+def _parse_weight(text: str, n: int, r: int, flag: str) -> Weight:
+    """A weight with n parts summing to r."""
+    lam = parse_weight(text)
+    if lam.n != n or lam.r != r:
+        raise UsageError(f"{flag} {text!r} must have {n} parts summing to {r}")
+    return lam
 
 
 def _parse_perm(text: str, r: int, flag: str) -> AffinePerm:
@@ -151,30 +160,40 @@ def _cmd_hecke(args) -> int:
     return 0
 
 
-def _parse_phi(n: int, r: int, text: str) -> SchurBasisIndex:
+def _parse_phi(n: int, r: int, text: str, flag: str) -> SchurBasisIndex:
     """'lam | d | mu' with weights as comma lists and d in rho^z*[...] form."""
     parts = [p.strip() for p in text.split("|")]
     if len(parts) != 3:
         raise UsageError("phi index must be 'lam | d | mu'")
-    lam, d, mu = parse_weight(parts[0]), AffinePerm.parse(parts[1]), parse_weight(parts[2])
+    lam = _parse_weight(parts[0], n, r, f"{flag} weight")
+    d = _parse_perm(parts[1], r, f"{flag} permutation")
+    mu = _parse_weight(parts[2], n, r, f"{flag} weight")
     return SchurBasisIndex(lam, mu, d)
 
 
 def _cmd_schur(args) -> int:
     n, r = args.n, args.r
     if args.action == "phi":
+        if not (args.lam and args.mu and args.d):
+            raise UsageError("phi needs --lambda, --mu and --d")
         idx = SchurBasisIndex(
-            parse_weight(args.lam), parse_weight(args.mu), AffinePerm.parse(args.d)
+            _parse_weight(args.lam, n, r, "--lambda"),
+            _parse_weight(args.mu, n, r, "--mu"),
+            _parse_perm(args.d, r, "--d"),
         )
         h = phi_value(idx)
         _emit(args, h.render(), {"schema": "aschur.hecke/1", "terms": h.structured()})
     elif args.action == "mul":
-        a = SchurElement.basis(_parse_phi(n, r, args.a))
-        b = SchurElement.basis(_parse_phi(n, r, args.b))
+        if not args.a or not args.b:
+            raise UsageError("mul needs --a and --b")
+        a = SchurElement.basis(_parse_phi(n, r, args.a, "--a"))
+        b = SchurElement.basis(_parse_phi(n, r, args.b, "--b"))
         c = a * b
         _emit(args, c.render(), {"schema": "aschur.schur/1", "terms": c.structured()})
     elif args.action == "embed":
-        h = t_element(AffinePerm.parse(args.perm))
+        if not args.perm:
+            raise UsageError("embed needs --perm")
+        h = t_element(_parse_perm(args.perm, r, "--perm"))
         s = hecke_embed(h, n)
         _emit(args, s.render(), {"schema": "aschur.schur/1", "terms": s.structured()})
     return 0
@@ -208,7 +227,7 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite not in ("finite-schur", "classical"):
+    if SUITES[args.suite].needs_n_gt_r:
         _require_affine(args.n, args.r)
     reports = run_suite(args.suite, args.n, args.r)
     failures = 0
@@ -227,9 +246,7 @@ def _cmd_verify(args) -> int:
 def _cmd_monomial(args) -> int:
     n, r = args.n, args.r
     _require_affine(n, r)
-    lam = parse_weight(args.lam)
-    if lam.n != n or lam.r != r:
-        raise UsageError(f"--lambda {args.lam!r} must have {n} parts summing to {r}")
+    lam = _parse_weight(args.lam, n, r, "--lambda")
     if args.action == "m1":
         m1, mu = build_M1(lam)
         _emit(args, f"mu={mu.render()}\nM1 = {m1.render()}",

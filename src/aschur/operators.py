@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ring import LaurentPoly
+from .ring import LaurentPoly, add_term
 from .weights import Weight
 
 Kind = str  # 'E','F','K','Kinv','R','Rinv','P','e','f','H'
@@ -100,11 +100,7 @@ class OperatorExpr:
     def __add__(self, other: OperatorExpr) -> OperatorExpr:
         t = dict(self.terms)
         for w, c in other.terms.items():
-            s = t.get(w, LaurentPoly.zero()) + c
-            if s.is_zero():
-                t.pop(w, None)
-            else:
-                t[w] = s
+            add_term(t, w, c)
         return OperatorExpr(t)
 
     def __neg__(self) -> OperatorExpr:
@@ -117,12 +113,7 @@ class OperatorExpr:
         t: dict[Word, LaurentPoly] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = t.get(w, LaurentPoly.zero()) + c1 * c2
-                if s.is_zero():
-                    t.pop(w, None)
-                else:
-                    t[w] = s
+                add_term(t, w1 + w2, c1 * c2)
         return OperatorExpr(t)
 
     def scaled(self, c: LaurentPoly | int) -> OperatorExpr:

@@ -1,12 +1,26 @@
 """Relation suites and the verification engine.
 
+The suites are one declarative table, SUITES.  A suite is a list of
+(name, description, family) rows; a family yields the (params, lhs, rhs)
+of its instances at a given (n, r), and the suite stamps each with the
+row's name and description and the suite's domain.  The families that
+several suites share (K-commutation, the E/F commutator, non-adjacent
+commutation, Serre, the K-polynomial, idempotent orthogonality and
+idempotent commutation) are written once.  They take a generating set:
+the quantum E, F, K with [a] and v^a, or the classical specialization
+e, f, H at v = 1 with a in place of both.  Those that range over E/F
+indices take the affine nodes 1..n or the finite nodes 1..n-1.  The
+relations only one suite has (Q2-Q4, Q10-Q15, R1-sum, q2-q4, q9, tau-*,
+zeta-*, Q17-Q19) are families of their own in the same table.
+
 The presented algebra is never materialized abstractly: its elements are
 operator words evaluated exactly on tensor-space basis vectors.  A
 relation instance passes when lhs - rhs annihilates every basis tensor
 with indices in [1, n], or for an omega-space relation the r! of them of
 weight omega.  The action commutes with adding n to any single index
 (see aschur.tensor), so a pass is equality on all of V^(x)r, or on the
-omega weight space V_omega, and every report says so.
+omega weight space V_omega, and every report says so.  The phi-basis
+relations Q17-Q19 are identities of SchurElements, checked exactly.
 
 Also here: the weight idempotents, the rotation automorphism and the
 E/F-swapping antiautomorphism, the commutation and cancellation rules
@@ -16,9 +30,11 @@ and the constructive monomials used to pull E_n across weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from itertools import product
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .aweyl import AffinePerm
+from .aweyl import AffinePerm, enumerate_parabolic
 from .hecke import young_parabolic
 from .operators import (
     E,
@@ -31,10 +47,13 @@ from .operators import (
     Rinv,
     Sym,
     Word,
+    cH,
+    ce,
+    cf,
     chain,
     power,
 )
-from .ring import LaurentPoly, gauss_binom, quantum_fact, signed_quantum_int
+from .ring import LaurentPoly, add_term, gauss_binom, quantum_fact, signed_quantum_int
 from .schur import SchurBasisIndex, SchurElement
 from .tensor import (
     act_expr_basis,
@@ -44,10 +63,9 @@ from .tensor import (
     vec_sub,
     weight_space_basis,
 )
-from .weights import Weight, all_weights, omega
+from .weights import Weight, all_weights, omega, residue
 
 _V = LaurentPoly.v()
-_ONE = LaurentPoly.one()
 _Q = LaurentPoly.q()
 
 
@@ -59,48 +77,24 @@ def projector(lam: Weight) -> OperatorExpr:
     return OperatorExpr.word([P(lam)])
 
 
-def k_binomial_projector(lam: Weight) -> "DiagonalOperator":
-    """1_lambda as the product of quantum K-binomials [K_i; lambda_i].
-
-    Each factor is diagonal, acting on a weight-mu vector by the Gaussian
-    binomial [mu_i choose lambda_i]; the product recovers the projector.
-    """
-    return DiagonalOperator(lam)
-
-
-class DiagonalOperator:
-    """Product over i of [K_i; t_i], evaluated weightwise."""
-
-    def __init__(self, lam: Weight):
-        self.lam = lam
-
-    def eigenvalue(self, mu: Weight) -> LaurentPoly:
-        out = LaurentPoly.one()
-        for i, t in enumerate(self.lam.parts, start=1):
-            out = out * gauss_binom(mu.entry(i), t)
-        return out
-
-
 # -- relation instances and verification --------------------------------------------
 
 
 @dataclass
 class RelationInstance:
+    """One relation, lhs = rhs, on a domain.
+
+    "full" and "omega" relations are operator identities on V^(x)r and on
+    the omega weight space V_omega; a "phi" relation is an identity of
+    SchurElements in the phi basis.
+    """
+
     name: str
     description: str
-    lhs: OperatorExpr
-    rhs: OperatorExpr
+    lhs: OperatorExpr | SchurElement
+    rhs: OperatorExpr | SchurElement
     params: dict = field(default_factory=dict)
-    basis: str = "full"  # or "omega"
-
-
-@dataclass
-class SchurRelationInstance:
-    name: str
-    description: str
-    lhs: SchurElement
-    rhs: SchurElement
-    params: dict = field(default_factory=dict)
+    domain: str = "full"  # or "omega", "phi"
 
 
 @dataclass
@@ -135,7 +129,7 @@ def verify_identity(n: int, r: int, inst: RelationInstance) -> CheckReport:
     """Evaluate lhs - rhs on the residue fundamental domain [1, n]^r (its
     weight-omega part for an omega-space relation); exact zero means pass,
     on all of V^(x)r or V_omega by the shift lemma in aschur.tensor."""
-    if inst.basis == "omega":
+    if inst.domain == "omega":
         vectors = weight_space_basis(n, omega(n, r), 1, n)
         window = f"omega weight space, indices in [1,{n}]; complete on V_omega"
     else:
@@ -155,7 +149,7 @@ def verify_identity(n: int, r: int, inst: RelationInstance) -> CheckReport:
     return CheckReport(inst.name, inst.description, inst.params, window, True)
 
 
-def verify_schur_relation(inst: SchurRelationInstance) -> CheckReport:
+def verify_schur_relation(inst: RelationInstance) -> CheckReport:
     diff = inst.lhs - inst.rhs
     if diff.is_zero():
         return CheckReport(
@@ -171,11 +165,34 @@ def verify_schur_relation(inst: SchurRelationInstance) -> CheckReport:
     )
 
 
+def suite(name: str, n: int, r: int) -> list[RelationInstance]:
+    """All instances of a named relation suite for the given (n, r)."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+    spec = SUITES[name]
+    if spec.needs_n_gt_r and n <= r:
+        raise ValueError(f"suite {name!r} requires n > r")
+    out = []
+    for rel, text, family in spec.rows:
+        if callable(text):
+            text = text(r)
+        for params, lhs, rhs in family(n, r):
+            out.append(RelationInstance(rel, text, lhs, rhs, params, spec.domain))
+    return out
+
+
+def run_suite(name: str, n: int, r: int) -> list[CheckReport]:
+    reports = []
+    for inst in suite(name, n, r):
+        if inst.domain == "phi":
+            reports.append(verify_schur_relation(inst))
+        else:
+            reports.append(verify_identity(n, r, inst))
+    reports.sort(key=lambda rep: (rep.name, sorted(rep.params.items(), key=str)))
+    return reports
+
+
 # -- index helpers ----------------------------------------------------------------
-
-
-def _barn(i: int, n: int) -> int:
-    return (i - 1) % n + 1
 
 
 def _eps_plus(i: int, j: int, n: int) -> int:
@@ -186,11 +203,14 @@ def _eps_plus(i: int, j: int, n: int) -> int:
     return 0
 
 
-def _eps_minus(i: int, j: int, n: int) -> int:
-    return -_eps_plus(i, j, n)
+def _nodes(n: int, affine: bool) -> range:
+    """The E/F indices: the affine nodes 1..n or the finite nodes 1..n-1."""
+    return range(1, n + 1) if affine else range(1, n)
 
 
-def _adjacent_affine(i: int, j: int, n: int) -> bool:
+def _adjacent(i: int, j: int, n: int) -> bool:
+    """Adjacent on the affine Dynkin cycle; on the finite nodes 1..n-1
+    this is |i - j| = 1."""
     return (i - j) % n in (1, n - 1) and i != j
 
 
@@ -198,165 +218,133 @@ def _w(*syms: Sym) -> OperatorExpr:
     return OperatorExpr.word(syms)
 
 
-def _commutator_rhs(n: int, r: int, j: int, classical: bool) -> OperatorExpr:
-    """sum over weights of [lambda_j - lambda_{j+1}] 1_lambda (or the v=1 version)."""
+# -- the shared relation families ---------------------------------------------------
+#
+# A family maps (n, r) to the (params, lhs, rhs) of its instances.
+
+
+class Generators(NamedTuple):
+    """The alphabet and scalars a shared family is written in."""
+
+    e: str  # symbol kind of the raising generators
+    f: str  # symbol kind of the lowering generators
+    k: str  # symbol kind of the Cartan generators
+    qint: Callable[[int], LaurentPoly]  # a -> [a]
+    vpow: Callable[[int], LaurentPoly]  # a -> v^a
+
+
+QUANTUM = Generators("E", "F", "K", signed_quantum_int, LaurentPoly.v)
+# The classical specialization at v = 1: E -> e, F -> f, K -> H, [a] -> a, v^a -> a.
+CLASSICAL = Generators("e", "f", "H", LaurentPoly.const, LaurentPoly.const)
+
+Instance = tuple[dict, "OperatorExpr | SchurElement", "OperatorExpr | SchurElement"]
+Family = Callable[[int, int], Iterable[Instance]]  # (n, r) -> (params, lhs, rhs), ...
+
+
+def _k_commute(g: Generators, n: int, r: int) -> Iterator[Instance]:
+    """K_i K_j = K_j K_i for i < j."""
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            ki, kj = Sym(g.k, i), Sym(g.k, j)
+            yield {"i": i, "j": j}, _w(ki, kj), _w(kj, ki)
+
+
+def _commutator_rhs(g: Generators, n: int, r: int, j: int) -> OperatorExpr:
+    """sum over weights of [lambda_j - lambda_{j+1}] 1_lambda."""
     out = OperatorExpr.zero()
     for lam in all_weights(n, r):
-        a = lam.entry(j) - lam.entry(j + 1)
-        coeff = LaurentPoly.const(a) if classical else signed_quantum_int(a)
+        coeff = g.qint(lam.entry(j) - lam.entry(j + 1))
         if not coeff.is_zero():
             out = out + OperatorExpr.word([P(lam)], coeff)
     return out
 
 
-# -- suites -------------------------------------------------------------------------
+def _ef_commutator(g: Generators, n: int, r: int, *, affine: bool) -> Iterator[Instance]:
+    """E_i F_j - F_j E_i = delta_ij sum_lam [lam_j - lam_{j+1}] 1_lam."""
+    nodes = _nodes(n, affine)
+    for i in nodes:
+        for j in nodes:
+            e, f = Sym(g.e, i), Sym(g.f, j)
+            rhs = _commutator_rhs(g, n, r, j) if i == j else OperatorExpr.zero()
+            yield {"i": i, "j": j}, _w(e, f) - _w(f, e), rhs
 
 
-SUITE_NAMES = (
-    "qaffine",
-    "extended",
-    "schur-presentation",
-    "finite-schur",
-    "q17-19",
-    "hecke-tau",
-    "idempotented",
-    "zeta",
-    "classical",
-)
+def _commute(kind: str, n: int, r: int, *, affine: bool) -> Iterator[Instance]:
+    """X_i X_j = X_j X_i for non-adjacent i < j."""
+    nodes = _nodes(n, affine)
+    for i in nodes:
+        for j in nodes:
+            if i < j and not _adjacent(i, j, n):
+                x, y = Sym(kind, i), Sym(kind, j)
+                yield {"i": i, "j": j}, _w(x, y), _w(y, x)
 
 
-def suite(name: str, n: int, r: int) -> list:
-    """All instances of a named relation suite for the given (n, r)."""
-    builders = {
-        "qaffine": _suite_qaffine,
-        "extended": _suite_extended,
-        "schur-presentation": _suite_schur_presentation,
-        "finite-schur": _suite_finite_schur,
-        "q17-19": _suite_q17_19,
-        "hecke-tau": _suite_hecke_tau,
-        "idempotented": _suite_idempotented,
-        "zeta": _suite_zeta,
-        "classical": _suite_classical,
-    }
-    if name not in builders:
-        raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    if name in ("qaffine", "extended", "schur-presentation", "q17-19",
-                "hecke-tau", "idempotented", "zeta") and n <= r:
-        raise ValueError(f"suite {name!r} requires n > r")
-    return builders[name](n, r)
+def _serre(g: Generators, kind: str, n: int, r: int, *, affine: bool) -> Iterator[Instance]:
+    """X_i X_i X_j - [2] X_i X_j X_i + X_j X_i X_i = 0 for adjacent i != j."""
+    nodes = _nodes(n, affine)
+    for i in nodes:
+        for j in nodes:
+            if i != j and _adjacent(i, j, n):
+                x, y = Sym(kind, i), Sym(kind, j)
+                lhs = _w(x, x, y) - OperatorExpr.word([x, y, x], g.qint(2)) + _w(y, x, x)
+                yield {"i": i, "j": j}, lhs, OperatorExpr.zero()
 
 
-def run_suite(name: str, n: int, r: int) -> list[CheckReport]:
-    reports = []
-    for inst in suite(name, n, r):
-        if isinstance(inst, SchurRelationInstance):
-            reports.append(verify_schur_relation(inst))
-        else:
-            reports.append(verify_identity(n, r, inst))
-    reports.sort(key=lambda rep: (rep.name, sorted(rep.params.items(), key=str)))
-    return reports
-
-
-def _quantum_serre(kind: str, i: int, j: int) -> OperatorExpr:
-    X = Sym(kind, i)
-    Y = Sym(kind, j)
-    two = LaurentPoly.v(1) + LaurentPoly.v(-1)
-    return (
-        _w(X, X, Y)
-        - OperatorExpr.word([X, Y, X], two)
-        + _w(Y, X, X)
-    )
-
-
-def _classical_serre(kind: str, i: int, j: int) -> OperatorExpr:
-    X = Sym(kind, i)
-    Y = Sym(kind, j)
-    return _w(X, X, Y) - OperatorExpr.word([X, Y, X], 2) + _w(Y, X, X)
-
-
-def _q1_to_q9(n: int, r: int, e_range: range, adjacent, suffix: str) -> list[RelationInstance]:
-    out = []
+def _k_polynomial(g: Generators, n: int, r: int) -> Iterator[Instance]:
+    """(K_i - 1)(K_i - v)...(K_i - v^r) = 0."""
     for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append(RelationInstance(
-                "Q1", "K_i K_j = K_j K_i", _w(K(i), K(j)), _w(K(j), K(i)),
-                {"i": i, "j": j}))
+        prod = OperatorExpr.one()
+        for s in range(r + 1):
+            prod = prod * (_w(Sym(g.k, i)) - OperatorExpr.one().scaled(g.vpow(s)))
+        yield {"i": i}, prod, OperatorExpr.zero()
+
+
+def _idempotents_orthogonal(n: int, r: int) -> Iterator[Instance]:
+    """1_lam 1_mu = delta 1_lam, for each unordered pair of weights."""
+    weights = all_weights(n, r)
+    for a, lam in enumerate(weights):
+        for mu in weights[a:]:
+            rhs = projector(lam) if lam == mu else OperatorExpr.zero()
+            yield {"lam": lam.render(), "mu": mu.render()}, _w(P(lam), P(mu)), rhs
+
+
+def _idempotent_commute(kind: str, n: int, r: int) -> Iterator[Instance]:
+    """X_i 1_lam = 1_{lam +- alpha_i} X_i, or 0 when that weight is not one."""
     for i in range(1, n + 1):
-        out.append(RelationInstance(
-            "Q2", "K_i K_i^-1 = 1 = K_i^-1 K_i",
-            _w(K(i), Kinv(i)) + _w(Kinv(i), K(i)),
-            OperatorExpr.one().scaled(2), {"i": i}))
+        for lam in all_weights(n, r):
+            lhs = _w(Sym(kind, i), P(lam))
+            yield {"i": i, "lam": lam.render()}, lhs, commute_projector(kind, i, lam)
+
+
+# -- the relations of one suite -----------------------------------------------------
+
+
+def _k_inverse(n: int, r: int) -> Iterator[Instance]:
     for i in range(1, n + 1):
-        for j in e_range:
-            out.append(RelationInstance(
-                "Q3", "K_i E_j = v^eps+(i,j) E_j K_i",
-                _w(K(i), E(j)),
-                OperatorExpr.word([E(j), K(i)], LaurentPoly.v(_eps_plus(i, j, n))),
-                {"i": i, "j": j}))
-            out.append(RelationInstance(
-                "Q4", "K_i F_j = v^eps-(i,j) F_j K_i",
-                _w(K(i), F(j)),
-                OperatorExpr.word([F(j), K(i)], LaurentPoly.v(_eps_minus(i, j, n))),
-                {"i": i, "j": j}))
-    for i in e_range:
-        for j in e_range:
-            lhs = _w(E(i), F(j)) - _w(F(j), E(i))
-            rhs = _commutator_rhs(n, r, i, classical=False) if i == j else OperatorExpr.zero()
-            out.append(RelationInstance(
-                "Q5", "E_i F_j - F_j E_i = delta_ij (K~_i - K~_i^-1)/(v - v^-1)",
-                lhs, rhs, {"i": i, "j": j}))
-    for i in e_range:
-        for j in e_range:
-            if j <= i:
-                continue
-            if not adjacent(i, j):
-                out.append(RelationInstance(
-                    "Q6", "E_i E_j = E_j E_i (non-adjacent)",
-                    _w(E(i), E(j)), _w(E(j), E(i)), {"i": i, "j": j}))
-                out.append(RelationInstance(
-                    "Q7", "F_i F_j = F_j F_i (non-adjacent)",
-                    _w(F(i), F(j)), _w(F(j), F(i)), {"i": i, "j": j}))
-    for i in e_range:
-        for j in e_range:
-            if i != j and adjacent(i, j):
-                out.append(RelationInstance(
-                    "Q8", "E-Serre relation (adjacent)",
-                    _quantum_serre("E", i, j), OperatorExpr.zero(), {"i": i, "j": j}))
-                out.append(RelationInstance(
-                    "Q9", "F-Serre relation (adjacent)",
-                    _quantum_serre("F", i, j), OperatorExpr.zero(), {"i": i, "j": j}))
-    for inst in out:
-        inst.name += suffix
-    return out
+        yield {"i": i}, _w(K(i), Kinv(i)) + _w(Kinv(i), K(i)), OperatorExpr.one().scaled(2)
 
 
-def _suite_qaffine(n: int, r: int) -> list[RelationInstance]:
-    return _q1_to_q9(
-        n, r, range(1, n + 1), lambda i, j: _adjacent_affine(i, j, n), suffix=""
-    )
-
-
-def _suite_extended(n: int, r: int) -> list[RelationInstance]:
-    out = [
-        RelationInstance("Q10", "R R^-1 = 1 = R^-1 R",
-                         _w(R, Rinv) + _w(Rinv, R),
-                         OperatorExpr.one().scaled(2)),
-    ]
+def _k_conjugates(kind: str, sign: int, n: int, r: int, *, affine: bool) -> Iterator[Instance]:
+    """K_i X_j = v^(sign eps+(i,j)) X_j K_i."""
     for i in range(1, n + 1):
-        i1 = _barn(i + 1, n)
-        out.append(RelationInstance(
-            "Q11", "R^-1 K_{i+1} R = K_i",
-            _w(Rinv, K(i1), R), _w(K(i)), {"i": i}))
-        out.append(RelationInstance(
-            "Q12", "R^-1 K_{i+1}^-1 R = K_i^-1",
-            _w(Rinv, Kinv(i1), R), _w(Kinv(i)), {"i": i}))
-        out.append(RelationInstance(
-            "Q13", "R^-1 E_{i+1} R = E_i",
-            _w(Rinv, E(i1), R), _w(E(i)), {"i": i}))
-        out.append(RelationInstance(
-            "Q14", "R^-1 F_{i+1} R = F_i",
-            _w(Rinv, F(i1), R), _w(F(i)), {"i": i}))
-    return out
+        for j in _nodes(n, affine):
+            x = Sym(kind, j)
+            coeff = LaurentPoly.v(sign * _eps_plus(i, j, n))
+            yield {"i": i, "j": j}, _w(K(i), x), OperatorExpr.word([x, K(i)], coeff)
+
+
+def _r_inverse(n: int, r: int) -> Iterator[Instance]:
+    yield {}, _w(R, Rinv) + _w(Rinv, R), OperatorExpr.one().scaled(2)
+
+
+def _r_conjugates(kind: str, n: int, r: int) -> Iterator[Instance]:
+    """R^-1 X_{i+1} R = X_i."""
+    for i in range(1, n + 1):
+        yield {"i": i}, _w(Rinv, Sym(kind, residue(i + 1, n)), R), _w(Sym(kind, i))
+
+
+def _q15_text(e: int) -> str:
+    return f"K_1 ... K_n = v^{e}"
 
 
 def q15_instance(n: int, r: int, corrupt: bool = False) -> RelationInstance:
@@ -364,43 +352,24 @@ def q15_instance(n: int, r: int, corrupt: bool = False) -> RelationInstance:
     e = r + 1 if corrupt else r
     return RelationInstance(
         "Q15" + ("-corrupted" if corrupt else ""),
-        f"K_1 ... K_n = v^{e}",
+        _q15_text(e),
         _w(*[K(i) for i in range(1, n + 1)]),
         OperatorExpr.one().scaled(LaurentPoly.v(e)),
     )
 
 
-def q16_instance(n: int, r: int, i: int) -> RelationInstance:
-    prod = OperatorExpr.one()
-    for s in range(r + 1):
-        prod = prod * (_w(K(i)) - OperatorExpr.one().scaled(LaurentPoly.v(s)))
-    return RelationInstance(
-        "Q16", "(K_i - 1)(K_i - v)...(K_i - v^r) = 0",
-        prod, OperatorExpr.zero(), {"i": i})
+def _q15(n: int, r: int) -> Iterator[Instance]:
+    inst = q15_instance(n, r)
+    yield inst.params, inst.lhs, inst.rhs
 
 
-def _suite_schur_presentation(n: int, r: int) -> list[RelationInstance]:
-    return [q15_instance(n, r)] + [q16_instance(n, r, i) for i in range(1, n + 1)]
+def _young_elements(lam: Weight) -> list[AffinePerm]:
+    return sorted(enumerate_parabolic(young_parabolic(lam)),
+                  key=lambda w: (w.length(), w.window))
 
 
-def _suite_finite_schur(n: int, r: int) -> list[RelationInstance]:
-    out = _q1_to_q9(
-        n, r, range(1, n), lambda i, j: abs(i - j) == 1, suffix="f"
-    )
-    q15 = q15_instance(n, r)
-    q15.name = "Q15f"
-    out.append(q15)
-    for i in range(1, n + 1):
-        q16 = q16_instance(n, r, i)
-        q16.name = "Q16f"
-        out.append(q16)
-    return out
-
-
-def _suite_q17_19(n: int, r: int) -> list[SchurRelationInstance]:
-    om = omega(n, r)
-    e = AffinePerm.identity(r)
-    out: list[SchurRelationInstance] = []
+def _q17(n: int, r: int) -> Iterator[Instance]:
+    om, e = omega(n, r), AffinePerm.identity(r)
     weights = all_weights(n, r)
     for lam in weights:
         for mu in weights:
@@ -414,287 +383,309 @@ def _suite_q17_19(n: int, r: int) -> list[SchurRelationInstance]:
                 })
             else:
                 rhs = SchurElement.zero(n, r)
-            out.append(SchurRelationInstance(
-                "Q17", "phi^1_{omega,lam} phi^1_{mu,omega} = delta sum_{d in W_lam} phi^d",
-                lhs, rhs, {"lam": lam.render(), "mu": mu.render()}))
-    for lam in weights:
-        philam = SchurElement.basis(SchurBasisIndex(om, lam, e))
-        lamphi = SchurElement.basis(SchurBasisIndex(lam, om, e))
+            yield {"lam": lam.render(), "mu": mu.render()}, lhs, rhs
+
+
+def _q18_q19(n: int, r: int, *, left: bool) -> Iterator[Instance]:
+    """phi^s phi^1_{omega,lam} = q phi^1_{omega,lam} (left), or its mirror
+    phi^1_{lam,omega} phi^s = q phi^1_{lam,omega}."""
+    om, e = omega(n, r), AffinePerm.identity(r)
+    for lam in all_weights(n, r):
+        idx = SchurBasisIndex(om, lam, e) if left else SchurBasisIndex(lam, om, e)
+        x = SchurElement.basis(idx)
         for i in sorted(young_parabolic(lam).gens):
             phis = SchurElement.basis(SchurBasisIndex(om, om, AffinePerm.s(r, i)))
-            out.append(SchurRelationInstance(
-                "Q18", "phi^s phi^1_{omega,lam} = q phi^1_{omega,lam}",
-                phis * philam, philam.scaled(_Q), {"lam": lam.render(), "i": i}))
-            out.append(SchurRelationInstance(
-                "Q19", "phi^1_{lam,omega} phi^s = q phi^1_{lam,omega}",
-                lamphi * phis, lamphi.scaled(_Q), {"lam": lam.render(), "i": i}))
-    return out
+            lhs = phis * x if left else x * phis
+            yield {"lam": lam.render(), "i": i}, lhs, x.scaled(_Q)
 
 
-def _young_elements(lam: Weight) -> list[AffinePerm]:
-    from .aweyl import enumerate_parabolic
+def _tau_quadratic(variant: str, n: int, r: int) -> Iterator[Instance]:
+    for i in range(1, r + 1):
+        t = tau(n, r, f"s{i}", variant)
+        yield ({"i": i, "variant": variant}, t * t,
+               t.scaled(_Q - 1) + OperatorExpr.one().scaled(_Q))
 
-    return sorted(enumerate_parabolic(young_parabolic(lam)),
-                  key=lambda w: (w.length(), w.window))
+
+def _tau_commute(variant: str, n: int, r: int) -> Iterator[Instance]:
+    for i in range(1, r):
+        for j in range(i + 2, r):
+            ti, tj = tau(n, r, f"s{i}", variant), tau(n, r, f"s{j}", variant)
+            yield {"i": i, "j": j, "variant": variant}, ti * tj, tj * ti
 
 
-def _suite_hecke_tau(n: int, r: int) -> list[RelationInstance]:
-    out: list[RelationInstance] = []
-    qm1 = _Q - 1
-    for variant in ("with-R", "R-free"):
-        tag = "tau" if variant == "with-R" else "tau'"
-        ts = {i: tau(n, r, f"s{i}", variant) for i in range(1, r + 1)}
-        trho = tau(n, r, "rho", variant)
-        trhoi = tau(n, r, "rho-inv", variant)
-        for i in range(1, r + 1):
-            out.append(RelationInstance(
-                f"{tag}-quadratic", "tau(s_i)^2 = (q-1) tau(s_i) + q",
-                ts[i] * ts[i],
-                ts[i].scaled(qm1) + OperatorExpr.one().scaled(_Q),
-                {"i": i, "variant": variant}, basis="omega"))
-        for i in range(1, r):
-            for j in range(i + 1, r):
-                if j - i > 1:
-                    out.append(RelationInstance(
-                        f"{tag}-commute", "tau(s_i) tau(s_j) = tau(s_j) tau(s_i), |i-j|>1",
-                        ts[i] * ts[j], ts[j] * ts[i],
-                        {"i": i, "j": j, "variant": variant}, basis="omega"))
-                elif j - i == 1 and j <= r - 1:
-                    out.append(RelationInstance(
-                        f"{tag}-braid", "tau braid relation, |i-j|=1",
-                        ts[i] * ts[j] * ts[i], ts[j] * ts[i] * ts[j],
-                        {"i": i, "j": j, "variant": variant}, basis="omega"))
-        for i in range(1, r - 1):
-            out.append(RelationInstance(
-                f"{tag}-rotate", "tau(rho) tau(s_{i+1}) = tau(s_i) tau(rho)",
-                trho * ts[i + 1], ts[i] * trho,
-                {"i": i, "variant": variant}, basis="omega"))
-        rho_r = OperatorExpr.one()
-        for _ in range(r):
-            rho_r = rho_r * trho
-        for i in range(1, r):
-            out.append(RelationInstance(
-                f"{tag}-period", "tau(rho)^r commutes with tau(s_i)",
-                rho_r * ts[i], ts[i] * rho_r,
-                {"i": i, "variant": variant}, basis="omega"))
-        out.append(RelationInstance(
-            f"{tag}-inverse", "tau(rho) tau(rho^-1) = id = tau(rho^-1) tau(rho)",
-            trho * trhoi + trhoi * trho, OperatorExpr.one().scaled(2),
-            {"variant": variant}, basis="omega"))
-    out.append(RelationInstance(
-        "tau-R-chain", "R agrees with F_1 F_2 ... F_r on the omega space",
-        _w(R), _w(*chain("F", range(1, r + 1))), {}, basis="omega"))
-    out.append(RelationInstance(
-        "tau-Rinv-chain", "R^-1 agrees with (E_{r-1} ... E_1) E_n on the omega space",
-        _w(Rinv), _w(*(chain("E", range(r - 1, 0, -1)) + [E(n)])), {}, basis="omega"))
+def _tau_braid(variant: str, n: int, r: int) -> Iterator[Instance]:
+    for i in range(1, r - 1):
+        ti, tj = tau(n, r, f"s{i}", variant), tau(n, r, f"s{i + 1}", variant)
+        yield {"i": i, "j": i + 1, "variant": variant}, ti * tj * ti, tj * ti * tj
+
+
+def _tau_rotate(variant: str, n: int, r: int) -> Iterator[Instance]:
+    trho = tau(n, r, "rho", variant)
+    for i in range(1, r - 1):
+        ti, tj = tau(n, r, f"s{i}", variant), tau(n, r, f"s{i + 1}", variant)
+        yield {"i": i, "variant": variant}, trho * tj, ti * trho
+
+
+def _tau_period(variant: str, n: int, r: int) -> Iterator[Instance]:
+    trho = tau(n, r, "rho", variant)
+    rho_r = OperatorExpr.one()
+    for _ in range(r):
+        rho_r = rho_r * trho
+    for i in range(1, r):
+        ti = tau(n, r, f"s{i}", variant)
+        yield {"i": i, "variant": variant}, rho_r * ti, ti * rho_r
+
+
+def _tau_inverse(variant: str, n: int, r: int) -> Iterator[Instance]:
+    trho, trhoi = tau(n, r, "rho", variant), tau(n, r, "rho-inv", variant)
+    yield {"variant": variant}, trho * trhoi + trhoi * trho, OperatorExpr.one().scaled(2)
+
+
+def _tau_rows(tag: str, variant: str) -> tuple[Row, ...]:
+    return (
+        (f"{tag}-quadratic", "tau(s_i)^2 = (q-1) tau(s_i) + q",
+         partial(_tau_quadratic, variant)),
+        (f"{tag}-commute", "tau(s_i) tau(s_j) = tau(s_j) tau(s_i), |i-j|>1",
+         partial(_tau_commute, variant)),
+        (f"{tag}-braid", "tau braid relation, |i-j|=1", partial(_tau_braid, variant)),
+        (f"{tag}-rotate", "tau(rho) tau(s_{i+1}) = tau(s_i) tau(rho)",
+         partial(_tau_rotate, variant)),
+        (f"{tag}-period", "tau(rho)^r commutes with tau(s_i)", partial(_tau_period, variant)),
+        (f"{tag}-inverse", "tau(rho) tau(rho^-1) = id = tau(rho^-1) tau(rho)",
+         partial(_tau_inverse, variant)),
+    )
+
+
+def _tau_r_chain(n: int, r: int) -> Iterator[Instance]:
+    yield {}, _w(R), _w(*chain("F", range(1, r + 1)))
+
+
+def _tau_rinv_chain(n: int, r: int) -> Iterator[Instance]:
+    yield {}, _w(Rinv), _w(*(chain("E", range(r - 1, 0, -1)) + [E(n)]))
+
+
+def _tau_variants_agree(n: int, r: int) -> Iterator[Instance]:
     for name in ("rho", "rho-inv", f"s{r}"):
-        out.append(RelationInstance(
-            "tau-variants-agree", "with-R and R-free variants agree on the omega space",
-            tau(n, r, name, "with-R"), tau(n, r, name, "R-free"),
-            {"element": name}, basis="omega"))
-    return out
+        yield {"element": name}, tau(n, r, name, "with-R"), tau(n, r, name, "R-free")
 
 
-def _suite_idempotented(n: int, r: int) -> list[RelationInstance]:
-    out: list[RelationInstance] = []
-    weights = all_weights(n, r)
-    for a, lam in enumerate(weights):
-        for mu in weights[a:]:
-            rhs = projector(lam) if lam == mu else OperatorExpr.zero()
-            out.append(RelationInstance(
-                "R1", "1_lam 1_mu = delta 1_lam",
-                _w(P(lam), P(mu)), rhs,
-                {"lam": lam.render(), "mu": mu.render()}))
-    total = OperatorExpr.zero()
-    for lam in weights:
-        total = total + projector(lam)
-    out.append(RelationInstance(
-        "R1-sum", "sum of all 1_lam = 1", total, OperatorExpr.one()))
-    for i in range(1, n + 1):
-        for lam in weights:
-            out.append(RelationInstance(
-                "R2", "E_i 1_lam = 1_{lam+alpha_i} E_i if lam_{i+1}>0 else 0",
-                _w(E(i), P(lam)), commute_projector("E", i, lam),
-                {"i": i, "lam": lam.render()}))
-            out.append(RelationInstance(
-                "R3", "F_i 1_lam = 1_{lam-alpha_i} F_i if lam_i>0 else 0",
-                _w(F(i), P(lam)), commute_projector("F", i, lam),
-                {"i": i, "lam": lam.render()}))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            rhs = _commutator_rhs(n, r, j, classical=False) if i == j else OperatorExpr.zero()
-            out.append(RelationInstance(
-                "R4", "E_i F_j - F_j E_i = delta_ij sum [lam_j - lam_{j+1}] 1_lam",
-                _w(E(i), F(j)) - _w(F(j), E(i)), rhs, {"i": i, "j": j}))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and _adjacent_affine(i, j, n):
-                out.append(RelationInstance(
-                    "R-serre-E", "E-Serre relation (adjacent)",
-                    _quantum_serre("E", i, j), OperatorExpr.zero(), {"i": i, "j": j}))
-                out.append(RelationInstance(
-                    "R-serre-F", "F-Serre relation (adjacent)",
-                    _quantum_serre("F", i, j), OperatorExpr.zero(), {"i": i, "j": j}))
-            elif i < j and not _adjacent_affine(i, j, n):
-                out.append(RelationInstance(
-                    "R-commute-E", "E_i E_j = E_j E_i (non-adjacent)",
-                    _w(E(i), E(j)), _w(E(j), E(i)), {"i": i, "j": j}))
-                out.append(RelationInstance(
-                    "R-commute-F", "F_i F_j = F_j F_i (non-adjacent)",
-                    _w(F(i), F(j)), _w(F(j), F(i)), {"i": i, "j": j}))
-    return out
+def _zeta_rho_inv_rewrite(n: int, r: int) -> Iterator[Instance]:
+    syms = [F(n)] + chain("F", range(1, r)) + chain("F", range(n - 1, r - 1, -1))
+    yield {}, zeta(n, r, "rho-inv"), _w(*(syms + [P(omega(n, r))]))
 
 
-def _suite_zeta(n: int, r: int) -> list[RelationInstance]:
-    out: list[RelationInstance] = []
-    om = omega(n, r)
-    zs = {i: zeta(n, r, f"s{i}") for i in range(1, r)}
-    zsr = zeta(n, r, f"s{r}")
-    zrho = zeta(n, r, "rho")
-    zrhoi = zeta(n, r, "rho-inv")
-    out.append(RelationInstance(
-        "zeta-rho-inv-rewrite",
-        "zeta(rho^-1) = F_n (F_1...F_{r-1}) (F_{n-1}...F_r) 1_omega",
-        zrhoi,
-        _w(*([F(n)] + chain("F", range(1, r)) + chain("F", range(n - 1, r - 1, -1)) + [P(om)]))))
-    out.append(RelationInstance(
-        "zeta-rho-rewrite",
-        "zeta(rho) = (E_r...E_1) (E_{r+1}...E_n) 1_omega",
-        zrho,
-        _w(*(chain("E", range(r, 0, -1)) + chain("E", range(r + 1, n + 1)) + [P(om)]))))
-    out.append(RelationInstance(
-        "zeta-inverse-left", "zeta(rho^-1) zeta(rho) = 1_omega",
-        zrhoi * zrho, projector(om)))
-    out.append(RelationInstance(
-        "zeta-inverse-right", "zeta(rho) zeta(rho^-1) = 1_omega",
-        zrho * zrhoi, projector(om)))
-    m_word = chain("E", range(r - 1, 0, -1)) + chain("E", range(r + 1, n + 1)) + [P(om)]
-    m_expr = _w(*m_word)
+def _zeta_rho_rewrite(n: int, r: int) -> Iterator[Instance]:
+    syms = chain("E", range(r, 0, -1)) + chain("E", range(r + 1, n + 1))
+    yield {}, zeta(n, r, "rho"), _w(*(syms + [P(omega(n, r))]))
+
+
+def _zeta_inverse(first: str, second: str, n: int, r: int) -> Iterator[Instance]:
+    yield {}, zeta(n, r, first) * zeta(n, r, second), projector(omega(n, r))
+
+
+def _zeta_intertwine(n: int, r: int) -> Iterator[Instance]:
+    m_word = chain("E", range(r - 1, 0, -1)) + chain("E", range(r + 1, n + 1))
+    m_expr = _w(*(m_word + [P(omega(n, r))]))
     for i in range(2, r):
         lhs = (_w(F(i - 1), E(i - 1)).scaled(_V) - OperatorExpr.one()) * m_expr
         rhs = m_expr * (_w(F(i), E(i)).scaled(_V) - OperatorExpr.one())
-        out.append(RelationInstance(
-            "zeta-intertwine", "(v F_{i-1} E_{i-1} - 1) M = M (v F_i E_i - 1)",
-            lhs, rhs, {"i": i}))
+        yield {"i": i}, lhs, rhs
+
+
+def _zeta_rotate(n: int, r: int) -> Iterator[Instance]:
+    zrho = zeta(n, r, "rho")
     for i in range(2, r):
-        out.append(RelationInstance(
-            "zeta-rotate", "zeta(s_{i-1}) zeta(rho) = zeta(rho) zeta(s_i)",
-            zs[i - 1] * zrho, zrho * zs[i], {"i": i}))
+        yield {"i": i}, zeta(n, r, f"s{i - 1}") * zrho, zrho * zeta(n, r, f"s{i}")
+
+
+def _zeta_ef_swap(n: int, r: int) -> Iterator[Instance]:
+    om = omega(n, r)
     for i in range(1, r):
-        out.append(RelationInstance(
-            "zeta-ef-swap", "(v F_i E_i - 1) 1_omega = (v E_i F_i - 1) 1_omega",
-            zs[i],
-            _w(E(i), F(i), P(om)).scaled(_V) - projector(om),
-            {"i": i}))
+        yield {"i": i}, zeta(n, r, f"s{i}"), _w(E(i), F(i), P(om)).scaled(_V) - projector(om)
+
+
+def _zeta_boundary_swap(n: int, r: int) -> Iterator[Instance]:
+    om = omega(n, r)
     ef_chain = chain("E", range(r, n + 1)) + chain("F", range(n, r - 1, -1))
-    out.append(RelationInstance(
-        "zeta-boundary-swap",
-        "1_omega (v F_n...F_r E_r...E_n - 1) = 1_omega (v E_r...E_n F_n...F_r - 1)",
-        zsr,
-        OperatorExpr.word([P(om)] + ef_chain, _V) - projector(om)))
-    out.append(RelationInstance(
-        "zeta-en-transport", "(E_n F_n - v) E_1 E_n 1_omega = E_1 E_n (E_1 F_1 - v) 1_omega",
-        (_w(E(n), F(n)) - OperatorExpr.one().scaled(_V)) * _w(E(1), E(n), P(om)),
-        _w(E(1), E(n)) * (_w(E(1), F(1)) - OperatorExpr.one().scaled(_V)) * projector(om)))
-    e_desc = chain("E", range(r, 0, -1))
-    out.append(RelationInstance(
-        "zeta-chain-transport",
-        "1_om (F_{r-1} E_{r-1} - v^-1) E_r...E_1 = 1_om E_r...E_1 (F_r E_r - v^-1)",
-        (projector(om) * (_w(F(r - 1), E(r - 1)) - OperatorExpr.one().scaled(_V.bar()))
-         * _w(*e_desc)),
-        (projector(om) * _w(*e_desc)
-         * (_w(F(r), E(r)) - OperatorExpr.one().scaled(_V.bar())))))
-    out.append(RelationInstance(
-        "zeta-rot-sr-left", "zeta(rho) zeta(s_r) = zeta(s_{r-1}) zeta(rho)",
-        zrho * zsr, (zs[r - 1] if r - 1 >= 1 else zsr) * zrho))
-    out.append(RelationInstance(
-        "zeta-rot-sr-right", "zeta(rho) zeta(s_1) = zeta(s_r) zeta(rho)",
-        zrho * zs[1], zsr * zrho))
-    return out
+    yield {}, zeta(n, r, f"s{r}"), OperatorExpr.word([P(om)] + ef_chain, _V) - projector(om)
 
 
-def _suite_classical(n: int, r: int) -> list[RelationInstance]:
-    from .operators import cH, ce, cf
+def _zeta_en_transport(n: int, r: int) -> Iterator[Instance]:
+    om = omega(n, r)
+    v = OperatorExpr.one().scaled(_V)
+    yield ({}, (_w(E(n), F(n)) - v) * _w(E(1), E(n), P(om)),
+           _w(E(1), E(n)) * (_w(E(1), F(1)) - v) * projector(om))
 
-    out: list[RelationInstance] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append(RelationInstance(
-                "q1", "H_i H_j = H_j H_i",
-                _w(cH(i), cH(j)), _w(cH(j), cH(i)), {"i": i, "j": j}))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            out.append(RelationInstance(
-                "q2", "H_i e_j - e_j H_i = eps+(i,j) e_j",
-                _w(cH(i), ce(j)) - _w(ce(j), cH(i)),
-                OperatorExpr.word([ce(j)], _eps_plus(i, j, n)), {"i": i, "j": j}))
-            out.append(RelationInstance(
-                "q3", "H_i f_j - f_j H_i = eps-(i,j) f_j",
-                _w(cH(i), cf(j)) - _w(cf(j), cH(i)),
-                OperatorExpr.word([cf(j)], _eps_minus(i, j, n)), {"i": i, "j": j}))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            rhs = (_w(cH(j)) - _w(cH(_barn(j + 1, n)))) if i == j else OperatorExpr.zero()
-            out.append(RelationInstance(
-                "q4", "e_i f_j - f_j e_i = delta_ij (H_j - H_{j+1})",
-                _w(ce(i), cf(j)) - _w(cf(j), ce(i)), rhs, {"i": i, "j": j}))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if not _adjacent_affine(i, j, n):
-                out.append(RelationInstance(
-                    "q5", "e_i e_j = e_j e_i (non-adjacent)",
-                    _w(ce(i), ce(j)), _w(ce(j), ce(i)), {"i": i, "j": j}))
-                out.append(RelationInstance(
-                    "q6", "f_i f_j = f_j f_i (non-adjacent)",
-                    _w(cf(i), cf(j)), _w(cf(j), cf(i)), {"i": i, "j": j}))
+
+def _zeta_chain_transport(n: int, r: int) -> Iterator[Instance]:
+    one_om = projector(omega(n, r))
+    e_desc = _w(*chain("E", range(r, 0, -1)))
+    vinv = OperatorExpr.one().scaled(_V.bar())
+    yield ({}, one_om * (_w(F(r - 1), E(r - 1)) - vinv) * e_desc,
+           one_om * e_desc * (_w(F(r), E(r)) - vinv))
+
+
+def _zeta_rot_sr(n: int, r: int, *, left: bool) -> Iterator[Instance]:
+    """zeta(rho) zeta(s_r) = zeta(s_{r-1}) zeta(rho) (left), or
+    zeta(rho) zeta(s_1) = zeta(s_r) zeta(rho)."""
+    zrho, zsr = zeta(n, r, "rho"), zeta(n, r, f"s{r}")
+    if left:
+        yield {}, zrho * zsr, zeta(n, r, f"s{max(r - 1, 1)}") * zrho
+    else:
+        yield {}, zrho * zeta(n, r, "s1"), zsr * zrho
+
+
+def _h_brackets(kind: str, sign: int, n: int, r: int) -> Iterator[Instance]:
+    """H_i x_j - x_j H_i = sign eps+(i,j) x_j."""
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i != j and _adjacent_affine(i, j, n):
-                out.append(RelationInstance(
-                    "q7", "classical E-Serre relation",
-                    _classical_serre("e", i, j), OperatorExpr.zero(), {"i": i, "j": j}))
-                out.append(RelationInstance(
-                    "q8", "classical F-Serre relation",
-                    _classical_serre("f", i, j), OperatorExpr.zero(), {"i": i, "j": j}))
+            x = Sym(kind, j)
+            rhs = OperatorExpr.word([x], sign * _eps_plus(i, j, n))
+            yield {"i": i, "j": j}, _w(cH(i), x) - _w(x, cH(i)), rhs
+
+
+def _h_commutator(n: int, r: int) -> Iterator[Instance]:
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            rhs = (_w(cH(j)) - _w(cH(residue(j + 1, n)))) if i == j else OperatorExpr.zero()
+            yield {"i": i, "j": j}, _w(ce(i), cf(j)) - _w(cf(j), ce(i)), rhs
+
+
+def _sum_of(terms: Iterable[OperatorExpr]) -> OperatorExpr:
     total = OperatorExpr.zero()
-    for i in range(1, n + 1):
-        total = total + _w(cH(i))
-    out.append(RelationInstance(
-        "q9", "H_1 + ... + H_n = r", total, OperatorExpr.one().scaled(r)))
-    for i in range(1, n + 1):
-        prod = OperatorExpr.one()
-        for s in range(r + 1):
-            prod = prod * (_w(cH(i)) - OperatorExpr.one().scaled(s))
-        out.append(RelationInstance(
-            "q10", "H_i (H_i - 1) ... (H_i - r) = 0",
-            prod, OperatorExpr.zero(), {"i": i}))
-    weights = all_weights(n, r)
-    for a, lam in enumerate(weights):
-        for mu in weights[a:]:
-            rhs = projector(lam) if lam == mu else OperatorExpr.zero()
-            out.append(RelationInstance(
-                "r1", "i_lam i_mu = delta i_lam",
-                _w(P(lam), P(mu)), rhs,
-                {"lam": lam.render(), "mu": mu.render()}))
-    for i in range(1, n + 1):
-        for lam in weights:
-            up = lam.plus_alpha(i, 1)
-            rhs = _w(P(up), ce(i)) if up is not None else OperatorExpr.zero()
-            out.append(RelationInstance(
-                "r2", "e_i i_lam = i_{lam+alpha_i} e_i if lam_{i+1}>0 else 0",
-                _w(ce(i), P(lam)), rhs, {"i": i, "lam": lam.render()}))
-            down = lam.plus_alpha(i, -1)
-            rhs = _w(P(down), cf(i)) if down is not None else OperatorExpr.zero()
-            out.append(RelationInstance(
-                "r3", "f_i i_lam = i_{lam-alpha_i} f_i if lam_i>0 else 0",
-                _w(cf(i), P(lam)), rhs, {"i": i, "lam": lam.render()}))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            rhs = _commutator_rhs(n, r, j, classical=True) if i == j else OperatorExpr.zero()
-            out.append(RelationInstance(
-                "r4", "e_i f_j - f_j e_i = delta_ij sum (lam_j - lam_{j+1}) i_lam",
-                _w(ce(i), cf(j)) - _w(cf(j), ce(i)), rhs, {"i": i, "j": j}))
-    return out
+    for t in terms:
+        total = total + t
+    return total
+
+
+def _h_sum(n: int, r: int) -> Iterator[Instance]:
+    yield {}, _sum_of(_w(cH(i)) for i in range(1, n + 1)), OperatorExpr.one().scaled(r)
+
+
+def _idempotents_sum(n: int, r: int) -> Iterator[Instance]:
+    yield {}, _sum_of(projector(lam) for lam in all_weights(n, r)), OperatorExpr.one()
+
+
+# -- the relation table --------------------------------------------------------------
+
+Row = tuple[str, str | Callable[[int], str], Family]  # a callable text takes r
+
+
+class Suite(NamedTuple):
+    rows: tuple[Row, ...]
+    domain: str = "full"  # "omega": the omega weight space; "phi": the phi basis
+    needs_n_gt_r: bool = True  # the affine presentation covers only n > r
+
+
+def _q1_to_q9(affine: bool, suffix: str) -> tuple[Row, ...]:
+    """Q1-Q9 over the affine nodes 1..n or the finite nodes 1..n-1."""
+    q = QUANTUM
+    rows = (
+        ("Q1", "K_i K_j = K_j K_i", partial(_k_commute, q)),
+        ("Q2", "K_i K_i^-1 = 1 = K_i^-1 K_i", _k_inverse),
+        ("Q3", "K_i E_j = v^eps+(i,j) E_j K_i", partial(_k_conjugates, "E", 1, affine=affine)),
+        ("Q4", "K_i F_j = v^eps-(i,j) F_j K_i", partial(_k_conjugates, "F", -1, affine=affine)),
+        ("Q5", "E_i F_j - F_j E_i = delta_ij (K~_i - K~_i^-1)/(v - v^-1)",
+         partial(_ef_commutator, q, affine=affine)),
+        ("Q6", "E_i E_j = E_j E_i (non-adjacent)", partial(_commute, "E", affine=affine)),
+        ("Q7", "F_i F_j = F_j F_i (non-adjacent)", partial(_commute, "F", affine=affine)),
+        ("Q8", "E-Serre relation (adjacent)", partial(_serre, q, "E", affine=affine)),
+        ("Q9", "F-Serre relation (adjacent)", partial(_serre, q, "F", affine=affine)),
+    )
+    return tuple((name + suffix, text, family) for name, text, family in rows)
+
+
+_Q16_TEXT = "(K_i - 1)(K_i - v)...(K_i - v^r) = 0"
+
+SUITES: dict[str, Suite] = {
+    "qaffine": Suite(_q1_to_q9(affine=True, suffix="")),
+    "extended": Suite((
+        ("Q10", "R R^-1 = 1 = R^-1 R", _r_inverse),
+        ("Q11", "R^-1 K_{i+1} R = K_i", partial(_r_conjugates, "K")),
+        ("Q12", "R^-1 K_{i+1}^-1 R = K_i^-1", partial(_r_conjugates, "Kinv")),
+        ("Q13", "R^-1 E_{i+1} R = E_i", partial(_r_conjugates, "E")),
+        ("Q14", "R^-1 F_{i+1} R = F_i", partial(_r_conjugates, "F")),
+    )),
+    "schur-presentation": Suite((
+        ("Q15", _q15_text, _q15),
+        ("Q16", _Q16_TEXT, partial(_k_polynomial, QUANTUM)),
+    )),
+    "finite-schur": Suite(_q1_to_q9(affine=False, suffix="f") + (
+        ("Q15f", _q15_text, _q15),
+        ("Q16f", _Q16_TEXT, partial(_k_polynomial, QUANTUM)),
+    ), needs_n_gt_r=False),
+    "q17-19": Suite((
+        ("Q17", "phi^1_{omega,lam} phi^1_{mu,omega} = delta sum_{d in W_lam} phi^d", _q17),
+        ("Q18", "phi^s phi^1_{omega,lam} = q phi^1_{omega,lam}", partial(_q18_q19, left=True)),
+        ("Q19", "phi^1_{lam,omega} phi^s = q phi^1_{lam,omega}", partial(_q18_q19, left=False)),
+    ), domain="phi"),
+    "hecke-tau": Suite(_tau_rows("tau", "with-R") + _tau_rows("tau'", "R-free") + (
+        ("tau-R-chain", "R agrees with F_1 F_2 ... F_r on the omega space", _tau_r_chain),
+        ("tau-Rinv-chain", "R^-1 agrees with (E_{r-1} ... E_1) E_n on the omega space",
+         _tau_rinv_chain),
+        ("tau-variants-agree", "with-R and R-free variants agree on the omega space",
+         _tau_variants_agree),
+    ), domain="omega"),
+    "idempotented": Suite((
+        ("R1", "1_lam 1_mu = delta 1_lam", _idempotents_orthogonal),
+        ("R1-sum", "sum of all 1_lam = 1", _idempotents_sum),
+        ("R2", "E_i 1_lam = 1_{lam+alpha_i} E_i if lam_{i+1}>0 else 0",
+         partial(_idempotent_commute, "E")),
+        ("R3", "F_i 1_lam = 1_{lam-alpha_i} F_i if lam_i>0 else 0",
+         partial(_idempotent_commute, "F")),
+        ("R4", "E_i F_j - F_j E_i = delta_ij sum [lam_j - lam_{j+1}] 1_lam",
+         partial(_ef_commutator, QUANTUM, affine=True)),
+        ("R-serre-E", "E-Serre relation (adjacent)", partial(_serre, QUANTUM, "E", affine=True)),
+        ("R-serre-F", "F-Serre relation (adjacent)", partial(_serre, QUANTUM, "F", affine=True)),
+        ("R-commute-E", "E_i E_j = E_j E_i (non-adjacent)", partial(_commute, "E", affine=True)),
+        ("R-commute-F", "F_i F_j = F_j F_i (non-adjacent)", partial(_commute, "F", affine=True)),
+    )),
+    "zeta": Suite((
+        ("zeta-rho-inv-rewrite", "zeta(rho^-1) = F_n (F_1...F_{r-1}) (F_{n-1}...F_r) 1_omega",
+         _zeta_rho_inv_rewrite),
+        ("zeta-rho-rewrite", "zeta(rho) = (E_r...E_1) (E_{r+1}...E_n) 1_omega",
+         _zeta_rho_rewrite),
+        ("zeta-inverse-left", "zeta(rho^-1) zeta(rho) = 1_omega",
+         partial(_zeta_inverse, "rho-inv", "rho")),
+        ("zeta-inverse-right", "zeta(rho) zeta(rho^-1) = 1_omega",
+         partial(_zeta_inverse, "rho", "rho-inv")),
+        ("zeta-intertwine", "(v F_{i-1} E_{i-1} - 1) M = M (v F_i E_i - 1)", _zeta_intertwine),
+        ("zeta-rotate", "zeta(s_{i-1}) zeta(rho) = zeta(rho) zeta(s_i)", _zeta_rotate),
+        ("zeta-ef-swap", "(v F_i E_i - 1) 1_omega = (v E_i F_i - 1) 1_omega", _zeta_ef_swap),
+        ("zeta-boundary-swap",
+         "1_omega (v F_n...F_r E_r...E_n - 1) = 1_omega (v E_r...E_n F_n...F_r - 1)",
+         _zeta_boundary_swap),
+        ("zeta-en-transport",
+         "(E_n F_n - v) E_1 E_n 1_omega = E_1 E_n (E_1 F_1 - v) 1_omega", _zeta_en_transport),
+        ("zeta-chain-transport",
+         "1_om (F_{r-1} E_{r-1} - v^-1) E_r...E_1 = 1_om E_r...E_1 (F_r E_r - v^-1)",
+         _zeta_chain_transport),
+        ("zeta-rot-sr-left", "zeta(rho) zeta(s_r) = zeta(s_{r-1}) zeta(rho)",
+         partial(_zeta_rot_sr, left=True)),
+        ("zeta-rot-sr-right", "zeta(rho) zeta(s_1) = zeta(s_r) zeta(rho)",
+         partial(_zeta_rot_sr, left=False)),
+    )),
+    "classical": Suite((
+        ("q1", "H_i H_j = H_j H_i", partial(_k_commute, CLASSICAL)),
+        ("q2", "H_i e_j - e_j H_i = eps+(i,j) e_j", partial(_h_brackets, "e", 1)),
+        ("q3", "H_i f_j - f_j H_i = eps-(i,j) f_j", partial(_h_brackets, "f", -1)),
+        ("q4", "e_i f_j - f_j e_i = delta_ij (H_j - H_{j+1})", _h_commutator),
+        ("q5", "e_i e_j = e_j e_i (non-adjacent)", partial(_commute, "e", affine=True)),
+        ("q6", "f_i f_j = f_j f_i (non-adjacent)", partial(_commute, "f", affine=True)),
+        ("q7", "classical E-Serre relation", partial(_serre, CLASSICAL, "e", affine=True)),
+        ("q8", "classical F-Serre relation", partial(_serre, CLASSICAL, "f", affine=True)),
+        ("q9", "H_1 + ... + H_n = r", _h_sum),
+        ("q10", "H_i (H_i - 1) ... (H_i - r) = 0", partial(_k_polynomial, CLASSICAL)),
+        ("r1", "i_lam i_mu = delta i_lam", _idempotents_orthogonal),
+        ("r2", "e_i i_lam = i_{lam+alpha_i} e_i if lam_{i+1}>0 else 0",
+         partial(_idempotent_commute, "e")),
+        ("r3", "f_i i_lam = i_{lam-alpha_i} f_i if lam_i>0 else 0",
+         partial(_idempotent_commute, "f")),
+        ("r4", "e_i f_j - f_j e_i = delta_ij sum (lam_j - lam_{j+1}) i_lam",
+         partial(_ef_commutator, CLASSICAL, affine=True)),
+    ), needs_n_gt_r=False),
+}
+SUITE_NAMES = tuple(SUITES)
 
 
 # -- automorphisms -------------------------------------------------------------------
@@ -707,17 +698,12 @@ def rotate_aut(n: int, x: OperatorExpr) -> OperatorExpr:
         new = []
         for s in word:
             if s.kind in ("E", "F", "K", "Kinv", "e", "f", "H"):
-                new.append(Sym(s.kind, _barn(s.index + 1, n)))
+                new.append(Sym(s.kind, residue(s.index + 1, n)))
             elif s.kind == "P":
                 new.append(P(s.weight.rotated()))
             else:
                 new.append(s)
-        key = tuple(new)
-        acc = out.get(key, LaurentPoly.zero()) + c
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
+        add_term(out, tuple(new), c)
     return OperatorExpr(out)
 
 
@@ -737,12 +723,7 @@ def sigma_antiaut(x: OperatorExpr) -> OperatorExpr:
                 new.append(Sym(swap[s.kind], s.index))
             else:
                 new.append(s)
-        key = tuple(new)
-        acc = out.get(key, LaurentPoly.zero()) + c
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
+        add_term(out, tuple(new), c)
     return OperatorExpr(out)
 
 
@@ -750,18 +731,17 @@ def sigma_antiaut(x: OperatorExpr) -> OperatorExpr:
 
 
 def commute_projector(kind: str, i: int, lam: Weight) -> OperatorExpr:
-    """Rewrite E_i 1_lam (or F_i 1_lam) with the projector on the left.
+    """Rewrite X_i 1_lam with the projector on the left, for X = E or F
+    (or the classical e, f): 1_{lam +- alpha_i} X_i, or 0.
 
     >>> commute_projector("E", 1, Weight((1, 1, 0))).render()
     '(1)*P(2,0,0) E1'
     """
-    if kind == "E":
-        up = lam.plus_alpha(i, 1)
-        return _w(P(up), E(i)) if up is not None else OperatorExpr.zero()
-    if kind == "F":
-        down = lam.plus_alpha(i, -1)
-        return _w(P(down), F(i)) if down is not None else OperatorExpr.zero()
-    raise ValueError("kind must be 'E' or 'F'")
+    shift = {"E": 1, "e": 1, "F": -1, "f": -1}
+    if kind not in shift:
+        raise ValueError("kind must be 'E', 'F', 'e' or 'f'")
+    moved = lam.plus_alpha(i, shift[kind])
+    return _w(P(moved), Sym(kind, i)) if moved is not None else OperatorExpr.zero()
 
 
 def cancellation(lam: Weight, i: int, c: int, direction: str) -> LaurentPoly:
@@ -928,8 +908,11 @@ def distinguished_analyze(word: Word) -> AnalyzeResult:
 # -- zeta elements ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def zeta(n: int, r: int, name: str) -> OperatorExpr:
-    """The omega-anchored images of the Hecke generators.
+    """The omega-anchored images of the Hecke generators.  Cached: the
+    rows of the zeta suite share them (an OperatorExpr is never changed
+    in place).
 
     zeta(s_i) = (v F_i E_i - 1) 1_omega for 1 <= i < r,
     zeta(rho^-1) = (F_n...F_{r+1})(F_1...F_r) 1_omega,

@@ -27,15 +27,10 @@ from functools import lru_cache
 
 from .operators import E, F, OperatorExpr, R, Rinv, Sym, Word, chain
 from .ring import LaurentPoly
-from .weights import Weight
+from .weights import Weight, residue
 
 Basis = tuple[int, ...]
 Vector = dict[Basis, LaurentPoly]
-
-
-def _res(t: int, n: int) -> int:
-    """Residue of t mod n, in {1, ..., n}."""
-    return (t - 1) % n + 1
 
 
 def weight_of(n: int, b: Basis) -> Weight:
@@ -46,7 +41,7 @@ def weight_of(n: int, b: Basis) -> Weight:
     """
     counts = [0] * n
     for t in b:
-        counts[_res(t, n) - 1] += 1
+        counts[residue(t, n) - 1] += 1
     return Weight(tuple(counts))
 
 
@@ -61,31 +56,31 @@ def _act_basis(n: int, sym: Sym, b: Basis) -> tuple[tuple[Basis, LaurentPoly], .
     if kind == "E":
         out = []
         for j in range(r):
-            if _res(b[j], n) == _res(i + 1, n):
+            if residue(b[j], n) == residue(i + 1, n):
                 exp = 0
                 for k in range(j + 1, r):
-                    rk = _res(b[k], n)
-                    if rk == _res(i, n):
+                    rk = residue(b[k], n)
+                    if rk == residue(i, n):
                         exp += 1
-                    elif rk == _res(i + 1, n):
+                    elif rk == residue(i + 1, n):
                         exp -= 1
                 out.append((b[:j] + (b[j] - 1,) + b[j + 1 :], LaurentPoly.v(exp)))
         return tuple(out)
     if kind == "F":
         out = []
         for j in range(r):
-            if _res(b[j], n) == _res(i, n):
+            if residue(b[j], n) == residue(i, n):
                 exp = 0
                 for k in range(j):
-                    rk = _res(b[k], n)
-                    if rk == _res(i, n):
+                    rk = residue(b[k], n)
+                    if rk == residue(i, n):
                         exp -= 1
-                    elif rk == _res(i + 1, n):
+                    elif rk == residue(i + 1, n):
                         exp += 1
                 out.append((b[:j] + (b[j] + 1,) + b[j + 1 :], LaurentPoly.v(exp)))
         return tuple(out)
     if kind in ("K", "Kinv"):
-        count = sum(1 for t in b if _res(t, n) == _res(i, n))
+        count = sum(1 for t in b if residue(t, n) == residue(i, n))
         e = count if kind == "K" else -count
         return ((b, LaurentPoly.v(e)),)
     if kind == "R":
@@ -100,16 +95,16 @@ def _act_basis(n: int, sym: Sym, b: Basis) -> tuple[tuple[Basis, LaurentPoly], .
         return tuple(
             (b[:j] + (b[j] - 1,) + b[j + 1 :], LaurentPoly.one())
             for j in range(r)
-            if _res(b[j], n) == _res(i + 1, n)
+            if residue(b[j], n) == residue(i + 1, n)
         )
     if kind == "f":
         return tuple(
             (b[:j] + (b[j] + 1,) + b[j + 1 :], LaurentPoly.one())
             for j in range(r)
-            if _res(b[j], n) == _res(i, n)
+            if residue(b[j], n) == residue(i, n)
         )
     if kind == "H":
-        count = sum(1 for t in b if _res(t, n) == _res(i, n))
+        count = sum(1 for t in b if residue(t, n) == residue(i, n))
         return ((b, LaurentPoly.const(count)),)
     raise ValueError(f"unknown symbol kind {kind!r}")
 
@@ -197,7 +192,7 @@ def weight_space_basis(n: int, lam: Weight, lo: int, hi: int) -> list[Basis]:
             out.append(tuple(acc))
             return
         for t in values:
-            res = _res(t, n)
+            res = residue(t, n)
             if remaining[res - 1] > 0:
                 remaining[res - 1] -= 1
                 acc.append(t)
@@ -212,8 +207,11 @@ def weight_space_basis(n: int, lam: Weight, lo: int, hi: int) -> list[Basis]:
 # -- the Hecke-type endomorphisms of the omega weight space ----------------------
 
 
+@lru_cache(maxsize=None)
 def tau(n: int, r: int, name: str, variant: str = "with-R") -> OperatorExpr:
-    """The endomorphism of V_omega attached to a Hecke generator.
+    """The endomorphism of V_omega attached to a Hecke generator.  Cached:
+    the rows of the hecke-tau suite share them (an OperatorExpr is never
+    changed in place).
 
     ``name`` is one of 's<i>' (1 <= i <= r), 'rho', 'rho-inv'.  The two
     variants differ only for rho and rho-inv: 'with-R' uses the rotation

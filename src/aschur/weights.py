@@ -2,7 +2,8 @@
 
 A weight indexes both a Young subgroup of S_r and a weight space of
 tensor space.  Weights extend periodically: entry(i) for any integer i
-reads the part with index congruent to i mod n.
+reads the part with index congruent to i mod n.  residue() is that
+reduction of an index into {1, ..., n}, shared by every module.
 """
 from __future__ import annotations
 
@@ -53,6 +54,15 @@ class Weight:
 
     def __repr__(self) -> str:
         return f"Weight{self.parts}"
+
+
+def residue(t: int, m: int) -> int:
+    """Residue of t mod m, in {1, ..., m}.
+
+    >>> residue(0, 3), residue(4, 3)
+    (3, 1)
+    """
+    return (t - 1) % m + 1
 
 
 def omega(n: int, r: int) -> Weight:

@@ -1,0 +1,59 @@
+"""The benchmark's use of aschur still works.
+
+perfbench/ drives aschur only through names (present.suite,
+present.q15_instance, present.verify_identity, the instances' lhs, rhs,
+params and name), and it knows the suite names.  This runs every unit of
+the verify workloads once, in process, as a worker would, so a change
+that breaks one of those names fails here and not only in a benchmark
+run.  perfbench/ is imported, never changed.
+"""
+from __future__ import annotations
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from aschur import present
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("run"), importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for name in ("run", "workloads", "tracer"):
+            sys.modules.pop(name, None)
+
+
+def test_bench_knows_every_suite(bench):
+    run, _ = bench
+    assert run.SUITES == present.SUITE_NAMES
+
+
+@pytest.mark.parametrize("workload", ["verify-full", "verify-omega"])
+def test_verify_units_run_clean(bench, workload):
+    run, workloads = bench
+    for unit in run.UNITS[workload]:
+        ur = workloads.UnitRun(unit, workloads.make_inputs(unit, seed=1))
+        count = ur.build()
+        assert count > 0, unit
+        for _ in range(count):
+            ur.step()
+        assert ur.res.failures == [], (unit, ur.res.failures[:3])
+        assert all(ok for *_, ok in ur.res.items), unit
+
+
+def test_negative_control_unit_fails_its_instance(bench):
+    run, workloads = bench
+    assert workloads.NEGATIVE_CONTROL in run.UNITS["verify-full"]
+    ur = workloads.UnitRun(workloads.NEGATIVE_CONTROL, None)
+    assert ur.build() == 1
+    n, r, inst = ur.items[0].payload
+    report = present.verify_identity(n, r, inst)
+    assert not report.passed and report.counterexample

@@ -169,7 +169,8 @@ def test_usage_error_reports_flag(capsys):
 
 
 def test_dimensions_must_match_n_and_r(capsys):
-    # a permutation's period must be --r; a weight needs --n parts summing to --r
+    # a permutation's period must be --r; a weight needs --n parts summing to --r,
+    # also inside a phi index 'lam | d | mu'
     for argv in (
         ("weyl", "length", "--r", "4", "--perm", "[2,1,3]"),
         ("weyl", "reduced", "--r", "2", "--perm", "rho^1 * [1,2,3]"),
@@ -178,7 +179,21 @@ def test_dimensions_must_match_n_and_r(capsys):
         ("hecke", "mul", "--r", "4", "--a", "[2,1,3]", "--b", "[2,1,3]"),
         ("monomial", "m1", "--n", "4", "--r", "3", "--lambda", "2,1,0"),
         ("monomial", "m", "--n", "4", "--r", "3", "--lambda", "2,1,1,0"),
+        ("schur", "mul", "--n", "4", "--r", "3",
+         "--a", "1,1,0 | [1,2] | 2,0,0", "--b", "2,0,0 | [1,2] | 1,1,0"),
+        ("schur", "mul", "--n", "3", "--r", "2",
+         "--a", "1,1,0 | [1,2,3] | 2,0,0", "--b", "2,0,0 | [1,2] | 1,1,0"),
+        ("schur", "phi", "--n", "3", "--r", "2",
+         "--lambda", "2,1", "--mu", "3,0", "--d", "[1,2,3]"),
+        ("schur", "phi", "--n", "3", "--r", "2",
+         "--lambda", "2,0,0", "--mu", "2,0,0", "--d", "[1,2,3]"),
+        ("schur", "embed", "--n", "3", "--r", "3", "--perm", "[2,1]"),
+        # a missing phi index is a usage error too, not a traceback
+        ("schur", "phi", "--n", "3", "--r", "2"),
+        ("schur", "mul", "--n", "3", "--r", "2", "--a", "1,1,0 | [1,2] | 2,0,0"),
+        ("schur", "embed", "--n", "3", "--r", "2"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("usage error: ") and err.count("\n") == 1, (argv, err)
+

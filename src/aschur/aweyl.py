@@ -16,24 +16,18 @@ Length ignores the rho part.  It is computed by the inversion formula
 
 which the test suite validates exhaustively against a breadth-first
 word-length oracle before anything downstream relies on it.
+
+At r = 1 the group W is trivial and the extended group is generated by
+rho alone: there is no generator s_i.
 """
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Literal
 
 from .weights import residue
-
-DEFAULT_LENGTH_BOUND = 8
-_LENGTH_BOUND_ENV = "ASCHUR_MAX_LENGTH"
-
-
-def enumeration_length_bound() -> int:
-    return int(os.environ.get(_LENGTH_BOUND_ENV, DEFAULT_LENGTH_BOUND))
-
 
 @dataclass(frozen=True)
 class ParabolicIndex:
@@ -400,15 +394,9 @@ def _shared(w: AffinePerm) -> AffinePerm:
     return w
 
 
-def enumerate_up_to_length(r: int, max_length: int, bound: int | None = None) -> dict[AffinePerm, int]:
-    """All w in W (z = 0) with l(w) <= max_length, mapped to their length.
-
-    Breadth-first over right multiplication by the generators; refuses
-    max_length above the configured bound (ASCHUR_MAX_LENGTH, default 8).
-    """
-    cap = bound if bound is not None else enumeration_length_bound()
-    if max_length > cap:
-        raise ValueError(f"max_length {max_length} exceeds the configured bound {cap}")
+def enumerate_up_to_length(r: int, max_length: int) -> dict[AffinePerm, int]:
+    """All w in W (z = 0) with l(w) <= max_length, mapped to their length,
+    breadth-first over right multiplication by the generators."""
     out = {AffinePerm.identity(r): 0}
     frontier = list(out)
     for ell in range(1, max_length + 1):

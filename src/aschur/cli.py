@@ -1,9 +1,10 @@
 """Command-line surface: computation and verification, batch only.
 
-Exit status: 0 on success (all checks pass), 1 on verification failure,
-2 on usage errors.  Structured output is line-delimited JSON records,
-each carrying a "schema" field.  The environment variable
-ASCHUR_MAX_LENGTH caps enumeration length (default 8).
+Subcommands: weyl, hecke, schur, tensor, verify (a relation suite of
+aschur.present at --n and --r), monomial and matrix.  Exit status: 0 on
+success (all checks pass), 1 on verification failure, 2 on usage errors.
+Structured output is line-delimited JSON records, each carrying a
+"schema" field.
 """
 from __future__ import annotations
 

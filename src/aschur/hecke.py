@@ -13,82 +13,28 @@ so T_u * T_rho^k = T_{u rho^k} exactly.
 from __future__ import annotations
 
 from .aweyl import AffinePerm, ParabolicIndex, enumerate_parabolic
-from .ring import LaurentPoly, add_term
+from .ring import Combination, LaurentPoly, add_term
 from .weights import Weight
 
 Q = LaurentPoly.q()
 QM1 = LaurentPoly.q() - 1
 
 
-class HeckeElement:
-    """A finite map from AffinePerm to LaurentPoly (span of the T_w)."""
+class HeckeElement(Combination):
+    """A finite map from AffinePerm to LaurentPoly (span of the T_w):
+    ``HeckeElement(r, terms)``, in the space r."""
 
-    __slots__ = ("r", "terms")
+    __slots__ = ()
 
-    def __init__(self, r: int, terms: dict[AffinePerm, LaurentPoly] | None = None):
-        self.r = r
-        t: dict[AffinePerm, LaurentPoly] = {}
-        if terms:
-            for w, c in terms.items():
-                if not c.is_zero():
-                    t[w] = c
-        self.terms = t
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls, r: int) -> HeckeElement:
-        return cls(r)
-
-    @classmethod
-    def unit(cls, r: int) -> HeckeElement:
-        return t_element(AffinePerm.identity(r))
-
-    # -- linear structure -------------------------------------------------------
-
-    def __add__(self, other: HeckeElement) -> HeckeElement:
-        self._check(other)
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            add_term(t, w, c)
-        return HeckeElement(self.r, t)
-
-    def __neg__(self) -> HeckeElement:
-        return HeckeElement(self.r, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: HeckeElement) -> HeckeElement:
-        return self + (-other)
-
-    def scaled(self, c: LaurentPoly) -> HeckeElement:
-        return HeckeElement(self.r, {w: x * c for w, x in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HeckeElement)
-            and self.r == other.r
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("HeckeElement is not hashable")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, w: AffinePerm) -> LaurentPoly:
-        return self.terms.get(w, LaurentPoly.zero())
+    @property
+    def r(self) -> int:
+        return self.space
 
     def support(self) -> list[AffinePerm]:
         return sorted(self.terms, key=_perm_key)
 
-    def _check(self, other: HeckeElement):
-        if self.r != other.r:
-            raise ValueError("period mismatch")
-
-    # -- multiplication -----------------------------------------------------------
-
     def __mul__(self, other: HeckeElement) -> HeckeElement:
-        self._check(other)
+        self._check_space(other)
         out: dict[AffinePerm, LaurentPoly] = {}
         for v, cv in other.terms.items():
             word = v.reduced_word()
@@ -96,7 +42,7 @@ class HeckeElement:
                 c = cu * cv
                 for w, x in _fold_basis(u, v.z, word).items():
                     add_term(out, w, x * c)
-        return HeckeElement(self.r, out)
+        return self._like(out)
 
     # -- rendering ----------------------------------------------------------------
 
@@ -114,9 +60,6 @@ class HeckeElement:
             {"perm": w.structured(), "coeff": self.terms[w].structured()}
             for w in self.support()
         ]
-
-    def __repr__(self) -> str:
-        return f"HeckeElement<{self.render()}>"
 
 
 def _perm_key(w: AffinePerm):

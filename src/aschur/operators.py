@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ring import LaurentPoly, add_term
+from .ring import Combination, LaurentPoly, add_term
 from .weights import Weight
 
 Kind = str  # 'E','F','K','Kinv','R','Rinv','P','e','f','H'
@@ -71,18 +71,13 @@ def cH(i: int) -> Sym:
 Word = tuple[Sym, ...]
 
 
-class OperatorExpr:
+class OperatorExpr(Combination):
     """Finite LaurentPoly-combination of operator words."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: dict[Word, LaurentPoly] | None = None):
-        t: dict[Word, LaurentPoly] = {}
-        if terms:
-            for w, c in terms.items():
-                if not c.is_zero():
-                    t[tuple(w)] = c
-        self.terms = t
+        Combination.__init__(self, (), terms)
 
     @classmethod
     def zero(cls) -> OperatorExpr:
@@ -97,34 +92,12 @@ class OperatorExpr:
         c = coeff if isinstance(coeff, LaurentPoly) else LaurentPoly.const(coeff)
         return cls({tuple(syms): c})
 
-    def __add__(self, other: OperatorExpr) -> OperatorExpr:
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            add_term(t, w, c)
-        return OperatorExpr(t)
-
-    def __neg__(self) -> OperatorExpr:
-        return OperatorExpr({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: OperatorExpr) -> OperatorExpr:
-        return self + (-other)
-
     def __mul__(self, other: OperatorExpr) -> OperatorExpr:
         t: dict[Word, LaurentPoly] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 add_term(t, w1 + w2, c1 * c2)
-        return OperatorExpr(t)
-
-    def scaled(self, c: LaurentPoly | int) -> OperatorExpr:
-        cc = c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
-        return OperatorExpr({w: x * cc for w, x in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OperatorExpr) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self._like(t)
 
     def render(self) -> str:
         if not self.terms:
@@ -135,9 +108,6 @@ class OperatorExpr:
             body = " ".join(s.render() for s in w) if w else "1"
             parts.append(f"({c.render()})*{body}")
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"OperatorExpr<{self.render()}>"
 
 
 def chain(kind: Kind, indices: Iterable[int]) -> list[Sym]:

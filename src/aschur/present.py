@@ -29,6 +29,7 @@ and the constructive monomials used to pull E_n across weights.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
@@ -196,11 +197,8 @@ def run_suite(name: str, n: int, r: int) -> list[CheckReport]:
 
 
 def _eps_plus(i: int, j: int, n: int) -> int:
-    if (j - i) % n == 0:
-        return 1
-    if (j - (i - 1)) % n == 0:
-        return -1
-    return 0
+    """[j = i] - [j = i - 1], indices mod n: both hold at n = 1, giving 0."""
+    return ((j - i) % n == 0) - ((j + 1 - i) % n == 0)
 
 
 def _nodes(n: int, affine: bool) -> range:
@@ -231,11 +229,17 @@ class Generators(NamedTuple):
     k: str  # symbol kind of the Cartan generators
     qint: Callable[[int], LaurentPoly]  # a -> [a]
     vpow: Callable[[int], LaurentPoly]  # a -> v^a
+    binom: Callable[[int, int], LaurentPoly]  # (m, k) -> [m choose k]
 
 
-QUANTUM = Generators("E", "F", "K", signed_quantum_int, LaurentPoly.v)
-# The classical specialization at v = 1: E -> e, F -> f, K -> H, [a] -> a, v^a -> a.
-CLASSICAL = Generators("e", "f", "H", LaurentPoly.const, LaurentPoly.const)
+def _comb(m: int, k: int) -> LaurentPoly:
+    return LaurentPoly.const(math.comb(m, k))
+
+
+QUANTUM = Generators("E", "F", "K", signed_quantum_int, LaurentPoly.v, gauss_binom)
+# The classical specialization at v = 1: E -> e, F -> f, K -> H, [a] -> a, v^a -> a,
+# [m choose k] -> m choose k.
+CLASSICAL = Generators("e", "f", "H", LaurentPoly.const, LaurentPoly.const, _comb)
 
 Instance = tuple[dict, "OperatorExpr | SchurElement", "OperatorExpr | SchurElement"]
 Family = Callable[[int, int], Iterable[Instance]]  # (n, r) -> (params, lhs, rhs), ...
@@ -280,13 +284,19 @@ def _commute(kind: str, n: int, r: int, *, affine: bool) -> Iterator[Instance]:
 
 
 def _serre(g: Generators, kind: str, n: int, r: int, *, affine: bool) -> Iterator[Instance]:
-    """X_i X_i X_j - [2] X_i X_j X_i + X_j X_i X_i = 0 for adjacent i != j."""
+    """sum_k (-1)^k [m choose k] X_i^(m-k) X_j X_i^k = 0 for adjacent i != j,
+    with m = 1 - a_ij: 3 at n = 2, where the affine Cartan entry a_12 is -2,
+    and 2 otherwise."""
+    m = 3 if n == 2 else 2
+    coeffs = [g.binom(m, k) * (-1) ** k for k in range(m + 1)]
     nodes = _nodes(n, affine)
     for i in nodes:
         for j in nodes:
             if i != j and _adjacent(i, j, n):
                 x, y = Sym(kind, i), Sym(kind, j)
-                lhs = _w(x, x, y) - OperatorExpr.word([x, y, x], g.qint(2)) + _w(y, x, x)
+                lhs = OperatorExpr({
+                    tuple(power(x, m - k) + [y] + power(x, k)): c for k, c in enumerate(coeffs)
+                })
                 yield {"i": i, "j": j}, lhs, OperatorExpr.zero()
 
 
@@ -382,7 +392,7 @@ def _q17(n: int, r: int) -> Iterator[Instance]:
                     for d in _young_elements(lam)
                 })
             else:
-                rhs = SchurElement.zero(n, r)
+                rhs = SchurElement(n, r)
             yield {"lam": lam.render(), "mu": mu.render()}, lhs, rhs
 
 
@@ -400,7 +410,8 @@ def _q18_q19(n: int, r: int, *, left: bool) -> Iterator[Instance]:
 
 
 def _tau_quadratic(variant: str, n: int, r: int) -> Iterator[Instance]:
-    for i in range(1, r + 1):
+    # At r = 1 the affine Weyl group is trivial: it has no s_i.
+    for i in range(1, r + 1) if r > 1 else ():
         t = tau(n, r, f"s{i}", variant)
         yield ({"i": i, "variant": variant}, t * t,
                t.scaled(_Q - 1) + OperatorExpr.one().scaled(_Q))
@@ -465,7 +476,7 @@ def _tau_rinv_chain(n: int, r: int) -> Iterator[Instance]:
 
 
 def _tau_variants_agree(n: int, r: int) -> Iterator[Instance]:
-    for name in ("rho", "rho-inv", f"s{r}"):
+    for name in ("rho", "rho-inv") + ((f"s{r}",) if r > 1 else ()):
         yield {"element": name}, tau(n, r, name, "with-R"), tau(n, r, name, "R-free")
 
 
@@ -551,19 +562,14 @@ def _h_commutator(n: int, r: int) -> Iterator[Instance]:
             yield {"i": i, "j": j}, _w(ce(i), cf(j)) - _w(cf(j), ce(i)), rhs
 
 
-def _sum_of(terms: Iterable[OperatorExpr]) -> OperatorExpr:
-    total = OperatorExpr.zero()
-    for t in terms:
-        total = total + t
-    return total
-
-
 def _h_sum(n: int, r: int) -> Iterator[Instance]:
-    yield {}, _sum_of(_w(cH(i)) for i in range(1, n + 1)), OperatorExpr.one().scaled(r)
+    total = sum((_w(cH(i)) for i in range(1, n + 1)), OperatorExpr.zero())
+    yield {}, total, OperatorExpr.one().scaled(r)
 
 
 def _idempotents_sum(n: int, r: int) -> Iterator[Instance]:
-    yield {}, _sum_of(projector(lam) for lam in all_weights(n, r)), OperatorExpr.one()
+    total = sum((projector(lam) for lam in all_weights(n, r)), OperatorExpr.zero())
+    yield {}, total, OperatorExpr.one()
 
 
 # -- the relation table --------------------------------------------------------------
@@ -1105,7 +1111,7 @@ class FactorEnResult:
     window: str
 
 
-def factor_En(n: int, r: int, lam: Weight, lo: int | None = None, hi: int | None = None) -> FactorEnResult:
+def factor_En(n: int, r: int, lam: Weight) -> FactorEnResult:
     """Factor E_n 1_lam = z * sigma(W) E_n M on the lambda weight space,
     where M is the transport monomial and W its projector-stripped word.
 
@@ -1126,10 +1132,8 @@ def factor_En(n: int, r: int, lam: Weight, lo: int | None = None, hi: int | None
     )
     rhs = OperatorExpr.word(sigma_bare + (E(n),) + m_word, m_coeff)
     lhs = _w(E(n), P(lam))
-    lo = 1 if lo is None else lo
-    hi = n if hi is None else hi
-    vectors = weight_space_basis(n, lam, lo, hi)
-    window = f"lambda weight space, indices in [{lo},{hi}]"
+    vectors = weight_space_basis(n, lam, 1, n)
+    window = f"lambda weight space, indices in [1,{n}]"
     num: LaurentPoly | None = None
     den: LaurentPoly | None = None
     pairs = []

@@ -14,6 +14,10 @@ Gaussian binomial coefficients are provided as constructors.
 Polynomials are immutable and kept in canonical form (no zero
 coefficients stored, and an integral coefficient is always an int), so
 equality is plain structural equality.
+
+`Combination` is the free module over this ring: a finite combination of
+basis keys, with the sums, negation, scaling and equality that operator
+words, Hecke elements and Schur elements share.
 """
 from __future__ import annotations
 
@@ -297,6 +301,72 @@ def add_term(d: dict, key, c: LaurentPoly) -> None:
         d[key] = s
     else:
         d.pop(key, None)
+
+
+class Combination:
+    """A finite Z[v, v^-1]-combination of basis keys: the free-module
+    structure that operator words, Hecke elements and Schur elements share.
+
+    ``terms`` maps each key to its nonzero coefficient.  ``space`` names the
+    module the element lives in (() for operator words, r for Hecke
+    elements, (n, r) for Schur elements); only elements of one space add,
+    and they compare equal only when their spaces do.  Subclasses supply
+    ``__mul__``, ``render`` and their own constructors.
+
+    >>> a = Combination(2, {"x": LaurentPoly.v(), "y": ZERO})
+    >>> (a + a).terms, (a - a).is_zero()
+    ({'x': LaurentPoly('2*v')}, True)
+    """
+
+    __slots__ = ("space", "terms")
+    __hash__ = None
+
+    def __init__(self, space, terms: Mapping | None = None):
+        self.space = space
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+
+    def _like(self, terms: dict) -> Combination:
+        """An element of this class and space with these (nonzero) terms."""
+        out = object.__new__(type(self))
+        out.space = self.space
+        out.terms = terms
+        return out
+
+    def _check_space(self, other: Combination) -> None:
+        if self.space != other.space:
+            raise ValueError(f"space mismatch: {self.space} and {other.space}")
+
+    def __add__(self, other: Combination) -> Combination:
+        self._check_space(other)
+        t = dict(self.terms)
+        for k, c in other.terms.items():
+            add_term(t, k, c)
+        return self._like(t)
+
+    def __neg__(self) -> Combination:
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: Combination) -> Combination:
+        return self + (-other)
+
+    def scaled(self, c: LaurentPoly | int) -> Combination:
+        cc = c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
+        if not cc:
+            return self._like({})
+        return self._like({k: x * cc for k, x in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.space == other.space
+            and self.terms == other.terms
+        )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}<{self.render()}>"
 
 
 def quantum_int(m: int) -> LaurentPoly:

@@ -15,6 +15,7 @@ error and raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .aweyl import (
     AffinePerm,
@@ -24,7 +25,7 @@ from .aweyl import (
     is_double_coset_min,
 )
 from .hecke import HeckeElement, young_parabolic
-from .ring import LaurentPoly, add_term
+from .ring import Combination, LaurentPoly, add_term
 from .weights import Weight, all_weights, omega
 
 
@@ -58,59 +59,36 @@ class SchurBasisIndex:
         return f"phi[{self.lam.render()} | {self.d.render()} | {self.mu.render()}]"
 
 
-class SchurElement:
-    """A finite map from SchurBasisIndex to LaurentPoly."""
+@lru_cache(maxsize=None)
+def _space(n: int, r: int) -> tuple[int, int]:
+    """One shared (n, r) tuple per space, so that the thousands of elements
+    a q17-19 build holds at once do not each hold a tuple of their own."""
+    return (n, r)
 
-    __slots__ = ("n", "r", "terms")
+
+class SchurElement(Combination):
+    """A finite map from SchurBasisIndex to LaurentPoly, in the space (n, r)."""
+
+    __slots__ = ()
 
     def __init__(self, n: int, r: int, terms: dict[SchurBasisIndex, LaurentPoly] | None = None):
-        self.n = n
-        self.r = r
-        t: dict[SchurBasisIndex, LaurentPoly] = {}
         if terms:
-            for k, c in terms.items():
+            for k in terms:
                 if k.lam.n != n or k.lam.r != r:
                     raise ValueError("index does not match (n, r)")
-                if not c.is_zero():
-                    t[k] = c
-        self.terms = t
+        Combination.__init__(self, _space(n, r), terms)
 
-    @classmethod
-    def zero(cls, n: int, r: int) -> SchurElement:
-        return cls(n, r)
+    @property
+    def n(self) -> int:
+        return self.space[0]
+
+    @property
+    def r(self) -> int:
+        return self.space[1]
 
     @classmethod
     def basis(cls, idx: SchurBasisIndex) -> SchurElement:
         return cls(idx.lam.n, idx.lam.r, {idx: LaurentPoly.one()})
-
-    def __add__(self, other: SchurElement) -> SchurElement:
-        self._check(other)
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            add_term(t, k, c)
-        return SchurElement(self.n, self.r, t)
-
-    def __neg__(self) -> SchurElement:
-        return SchurElement(self.n, self.r, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: SchurElement) -> SchurElement:
-        return self + (-other)
-
-    def scaled(self, c: LaurentPoly) -> SchurElement:
-        return SchurElement(self.n, self.r, {k: x * c for k, x in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SchurElement)
-            and (self.n, self.r) == (other.n, other.r)
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, idx: SchurBasisIndex) -> LaurentPoly:
-        return self.terms.get(idx, LaurentPoly.zero())
 
     def support(self) -> list[SchurBasisIndex]:
         return sorted(
@@ -118,14 +96,10 @@ class SchurElement:
             key=lambda k: (k.lam.parts, k.mu.parts, k.d.length(), k.d.z, k.d.window),
         )
 
-    def _check(self, other: SchurElement):
-        if (self.n, self.r) != (other.n, other.r):
-            raise ValueError("(n, r) mismatch")
-
     # -- multiplication -----------------------------------------------------------
 
     def __mul__(self, other: SchurElement) -> SchurElement:
-        self._check(other)
+        self._check_space(other)
         out: dict[SchurBasisIndex, LaurentPoly] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -134,7 +108,7 @@ class SchurElement:
                 c = c1 * c2
                 for k, x in _mul_basis(k1, k2).terms.items():
                     add_term(out, k, x * c)
-        return SchurElement(self.n, self.r, out)
+        return self._like(out)
 
     # -- rendering ----------------------------------------------------------------
 
@@ -155,9 +129,6 @@ class SchurElement:
             }
             for k in self.support()
         ]
-
-    def __repr__(self) -> str:
-        return f"SchurElement<{self.render()}>"
 
 
 def phi_value(idx: SchurBasisIndex) -> HeckeElement:

@@ -213,10 +213,11 @@ def tau(n: int, r: int, name: str, variant: str = "with-R") -> OperatorExpr:
     the rows of the hecke-tau suite share them (an OperatorExpr is never
     changed in place).
 
-    ``name`` is one of 's<i>' (1 <= i <= r), 'rho', 'rho-inv'.  The two
-    variants differ only for rho and rho-inv: 'with-R' uses the rotation
-    generator R, 'R-free' replaces it by E/F chains which agree on the
-    omega weight space.  's<r>' is the composite rho . s_1 . rho^-1.
+    ``name`` is one of 's<i>' (1 <= i <= r, none at r = 1), 'rho',
+    'rho-inv'.  The two variants differ only for rho and rho-inv: 'with-R'
+    uses the rotation generator R, 'R-free' replaces it by E/F chains
+    which agree on the omega weight space.  's<r>' is the composite
+    rho . s_1 . rho^-1.
     """
     if n <= r:
         raise ValueError("these endomorphisms require n > r")
@@ -237,6 +238,8 @@ def tau(n: int, r: int, name: str, variant: str = "with-R") -> OperatorExpr:
             syms = syms + chain("F", range(1, r + 1))
         return OperatorExpr.word(syms)
     if name.startswith("s"):
+        if r == 1:
+            raise ValueError("at r = 1 the affine Weyl group has no s_i")
         i = int(name[1:])
         if 1 <= i < r:
             return OperatorExpr(

@@ -235,13 +235,6 @@ def test_enumerate_up_to_length_matches_oracle():
     assert count == sum(1 for w, ell in oracle.items() if ell <= 2)
 
 
-def test_enumerate_length_bound(monkeypatch):
-    with pytest.raises(ValueError):
-        enumerate_up_to_length(3, 9)
-    monkeypatch.setenv("ASCHUR_MAX_LENGTH", "10")
-    enumerate_up_to_length(2, 9)  # now allowed
-
-
 def test_semidirect_decompose():
     r = 3
     s1 = AffinePerm.s(r, 1)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from aschur.cli import main
 
 
@@ -113,6 +115,18 @@ def test_verify_pass_and_exit_codes(capsys):
     # usage error: affine suite needs n > r
     code, _, err = run(capsys, "verify", "--suite", "qaffine", "--n", "2", "--r", "2")
     assert code == 2 and "n > r" in err
+
+
+@pytest.mark.parametrize("suite,n,r", [
+    ("qaffine", 2, 1),  # at n = 2, a_12 = -2: the Serre relations have degree 3
+    ("idempotented", 2, 1),
+    ("classical", 2, 2),
+    ("classical", 1, 1),  # at n = 1, eps+(i, j) = 0
+    ("hecke-tau", 3, 1),  # at r = 1 there is no s_i
+])
+def test_verify_passes_at_small_n_and_r(capsys, suite, n, r):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--n", str(n), "--r", str(r))
+    assert code == 0, out
 
 
 def test_verify_structured_records(capsys):

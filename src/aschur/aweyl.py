@@ -83,6 +83,8 @@ class AffinePerm:
     @classmethod
     def s(cls, r: int, i: int) -> AffinePerm:
         """The Coxeter generator s_i, 1 <= i <= r."""
+        if r == 1:
+            raise ValueError("at r = 1 there is no generator s_i: W is trivial")
         if not 1 <= i <= r:
             raise ValueError("generator index out of range")
         win = []
@@ -159,21 +161,22 @@ class AffinePerm:
         return self.z == 0 and all(1 <= x <= self.r for x in self.window)
 
     # -- cheap one-sided multiplications ---------------------------------------
+    #
+    # These four map a valid element to a valid one, so they build their
+    # result through _trusted, without the checks of __post_init__.
 
     def mul_gen_right(self, i: int) -> AffinePerm:
         """u * s_i without renormalization (acts on window values)."""
         r = self.r
-        bi, bi1 = residue(i, r), residue(i + 1, r)
-        win = []
-        for x in self.window:
-            b = residue(x, r)
+        bi, bi1 = i % r, (i + 1) % r
+        win = list(self.window)
+        for t, x in enumerate(win):
+            b = x % r
             if b == bi:
-                win.append(x + 1)
+                win[t] = x + 1
             elif b == bi1:
-                win.append(x - 1)
-            else:
-                win.append(x)
-        return AffinePerm(r, self.z, tuple(win))
+                win[t] = x - 1
+        return _trusted(r, self.z, tuple(win))
 
     def mul_gen_left(self, i: int) -> AffinePerm:
         """s_i * u; shifts the index across the rho part."""
@@ -187,20 +190,22 @@ class AffinePerm:
         else:
             # wrap: arguments r and r+1; (r+1)w = (1)w + r.
             win[j - 1], win[j1 - 1] = win[j1 - 1] + r, win[j - 1] - r
-        return AffinePerm(r, self.z, tuple(win))
+        return _trusted(r, self.z, tuple(win))
 
     def mul_rho_right(self, k: int = 1) -> AffinePerm:
         """u * rho^k = rho^(z+k) * (rho^-k w rho^k)."""
+        if not k:
+            return self
         r = self.r
         win = []
         for t in range(1, r + 1):
             s = t - k
             s0 = residue(s, r)
             win.append(self.window[s0 - 1] + (s - s0) + k)
-        return AffinePerm(r, self.z + k, tuple(win))
+        return _trusted(r, self.z + k, tuple(win))
 
     def mul_rho_left(self, k: int = 1) -> AffinePerm:
-        return AffinePerm(self.r, self.z + k, self.window)
+        return _trusted(self.r, self.z + k, self.window)
 
     # -- length and words -----------------------------------------------------
 
@@ -241,6 +246,17 @@ class AffinePerm:
 
     def __repr__(self) -> str:
         return f"AffinePerm({self.render()!r})"
+
+
+def _trusted(r: int, z: int, window: tuple[int, ...]) -> AffinePerm:
+    """AffinePerm(r, z, window) for a window known to be valid: the frozen
+    fields are set directly and __post_init__ is not run."""
+    u = object.__new__(AffinePerm)
+    fields = u.__dict__
+    fields["r"] = r
+    fields["z"] = z
+    fields["window"] = window
+    return u
 
 
 @lru_cache(maxsize=None)
@@ -375,15 +391,26 @@ def enumerate_parabolic(pi: ParabolicIndex) -> frozenset[AffinePerm]:
 def enumerate_double_coset(
     pi1: ParabolicIndex, d: AffinePerm, pi2: ParabolicIndex
 ) -> frozenset[AffinePerm]:
-    """The finite set W_pi1 * d * W_pi2 (cached)."""
-    left = enumerate_parabolic(pi1)
-    right = enumerate_parabolic(pi2)
-    out: set[AffinePerm] = set()
-    for a in left:
-        ad = a * d
-        for b in right:
-            out.add(ad * b)
-    return frozenset(map(_shared, out))
+    """The finite set W_pi1 * d * W_pi2 (cached).
+
+    A breadth-first closure from d under s_i * (.) for i in pi1 and
+    (.) * s_i for i in pi2: the set is closed under both exactly when it
+    is the whole double coset, and each new member costs one cheap
+    one-sided product, not a general product per pair (a, b).
+    """
+    seen = {d}
+    frontier = [d]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            near = [u.mul_gen_left(i) for i in pi1.gens]
+            near += [u.mul_gen_right(i) for i in pi2.gens]
+            for v in near:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return frozenset(map(_shared, seen))
 
 
 @lru_cache(maxsize=None)

@@ -156,6 +156,8 @@ def _cmd_hecke(args) -> int:
         if not args.lam:
             raise UsageError("xlambda needs --lambda")
         lam = parse_weight(args.lam)
+        if lam.r != args.r:
+            raise UsageError(f"--lambda {args.lam!r} must sum to --r = {args.r}")
         h = x_lambda(lam, args.shift)
         _emit(args, h.render(), {"schema": "aschur.hecke/1", "terms": h.structured()})
     return 0
@@ -289,11 +291,17 @@ def _parse_entries(text: str) -> list[tuple[int, int, int]]:
 def _cmd_matrix(args) -> int:
     n, r = args.n, args.r
     if args.action == "from-coset":
-        lam, mu = parse_weight(args.lam), parse_weight(args.mu)
-        d = AffinePerm.parse(args.d)
-        a = matrix_from_coset(lam, mu, d)
+        if not (args.lam and args.mu and args.d):
+            raise UsageError("from-coset needs --lambda, --mu and --d")
+        a = matrix_from_coset(
+            _parse_weight(args.lam, n, r, "--lambda"),
+            _parse_weight(args.mu, n, r, "--mu"),
+            _parse_perm(args.d, r, "--d"),
+        )
         _emit(args, a.render(), {"schema": "aschur.matrix/1", **a.structured()})
         return 0
+    if not args.entries:
+        raise UsageError(f"{args.action} needs --entries")
     a = PeriodicMatrix(n, r, tuple(sorted(_parse_entries(args.entries))))
     if args.action == "to-coset":
         lam, mu, d = coset_from_matrix(a)

@@ -9,8 +9,17 @@ product folds the right factor generator by generator:
 
 and rho powers move through basis symbols by rotating generator indices,
 so T_u * T_rho^k = T_{u rho^k} exactly.
+
+For each basis element T_v of the right factor, v = rho^z s_{i_1} ...
+s_{i_m}, the whole left factor is folded at once: it starts as
+{u rho^z : c_u c_v} and passes through the letters of the reduced word,
+and terms that meet at one element merge after every letter.  Folding
+each left basis element on its own repeats the work wherever their
+paths meet.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .aweyl import AffinePerm, ParabolicIndex, enumerate_parabolic
 from .ring import Combination, LaurentPoly, add_term
@@ -37,11 +46,9 @@ class HeckeElement(Combination):
         self._check_space(other)
         out: dict[AffinePerm, LaurentPoly] = {}
         for v, cv in other.terms.items():
-            word = v.reduced_word()
-            for u, cu in self.terms.items():
-                c = cu * cv
-                for w, x in _fold_basis(u, v.z, word).items():
-                    add_term(out, w, x * c)
+            start = {u.mul_rho_right(v.z): cu * cv for u, cu in self.terms.items()}
+            for w, x in _fold(start, v.reduced_word()).items():
+                add_term(out, w, x)
         return self._like(out)
 
     # -- rendering ----------------------------------------------------------------
@@ -71,11 +78,11 @@ def t_element(w: AffinePerm) -> HeckeElement:
     return HeckeElement(w.r, {w: LaurentPoly.one()})
 
 
-def _fold_basis(
-    u: AffinePerm, z: int, word: tuple[int, ...]
+def _fold(
+    acc: dict[AffinePerm, LaurentPoly], word: tuple[int, ...]
 ) -> dict[AffinePerm, LaurentPoly]:
-    """T_u * T_rho^z * T_{s_{i_1}} * ... * T_{s_{i_m}}, as {w: coefficient}."""
-    acc: dict[AffinePerm, LaurentPoly] = {u.mul_rho_right(z): LaurentPoly.one()}
+    """(sum of c T_x over acc) * T_{s_{i_1}} * ... * T_{s_{i_m}}, as
+    {w: coefficient}; acc itself is not changed."""
     for i in word:
         nxt: dict[AffinePerm, LaurentPoly] = {}
         for x, c in acc.items():
@@ -89,10 +96,12 @@ def _fold_basis(
     return acc
 
 
+@lru_cache(maxsize=None)
 def young_parabolic(lam: Weight) -> ParabolicIndex:
     """Generator indices of the Young subgroup S_lambda inside S_r.
 
     s_i belongs iff i and i+1 fall in the same block of lambda, i <= r-1.
+    Cached: the phi products ask for the same few weights again and again.
 
     >>> sorted(young_parabolic(Weight((2, 1, 0))).gens)
     [1]

@@ -296,7 +296,12 @@ V = LaurentPoly.v()
 
 def add_term(d: dict, key, c: LaurentPoly) -> None:
     """d[key] += c in place, dropping the key when the sum is zero."""
-    s = d.get(key, ZERO) + c
+    old = d.get(key)
+    if old is None:
+        if c:
+            d[key] = c
+        return
+    s = old + c
     if s:
         d[key] = s
     else:

@@ -8,9 +8,10 @@ Hecke element
                               S_lambda * d * S_mu,
 
 and products are computed by evaluating on x, multiplying in the Hecke
-algebra, and greedily re-expanding double-coset sums.  The expansion must
-terminate with remainder exactly zero; a nonzero remainder is an internal
-error and raises.
+algebra, and greedily re-expanding double-coset sums.  The expansion reads
+each coefficient off the minimal element of its double coset and removes
+the whole coset at once; a value that is not a combination of coset sums
+is an internal error and raises.
 """
 from __future__ import annotations
 
@@ -24,13 +25,13 @@ from .aweyl import (
     is_distinguished_right,
     is_double_coset_min,
 )
-from .hecke import HeckeElement, young_parabolic
-from .ring import Combination, LaurentPoly, add_term
+from .hecke import HeckeElement, _perm_key, young_parabolic
+from .ring import ONE, Combination, LaurentPoly, add_term
 from .weights import Weight, all_weights, omega
 
 
 class BasisExpansionError(RuntimeError):
-    """The double-coset extraction left a nonzero remainder."""
+    """The value is not a combination of double-coset sums."""
 
 
 @dataclass(frozen=True)
@@ -143,18 +144,22 @@ def phi_value(idx: SchurBasisIndex) -> HeckeElement:
     coset = enumerate_double_coset(
         young_parabolic(idx.lam), idx.d, young_parabolic(idx.mu)
     )
-    return HeckeElement(idx.d.r, {w: LaurentPoly.one() for w in coset})
+    return HeckeElement(idx.d.r, dict.fromkeys(coset, ONE))
 
 
 def _right_generator(idx: SchurBasisIndex) -> HeckeElement:
     """h with phi^d_{lambda,mu}(x_mu) = x_lambda * h: the sum of T_b over
     the distinguished (left-minimal) members of the double coset."""
+    return HeckeElement(idx.d.r, dict.fromkeys(_distinguished_members(idx), ONE))
+
+
+@lru_cache(maxsize=None)
+def _distinguished_members(idx: SchurBasisIndex) -> tuple[AffinePerm, ...]:
+    """The members b of S_lambda d S_mu that are minimal in S_lambda b
+    (cached: a basis element is a right factor of many products)."""
     pi = young_parabolic(idx.lam)
     coset = enumerate_double_coset(pi, idx.d, young_parabolic(idx.mu))
-    return HeckeElement(
-        idx.d.r,
-        {b: LaurentPoly.one() for b in coset if is_distinguished_right(b, pi)},
-    )
+    return tuple(b for b in coset if is_distinguished_right(b, pi))
 
 
 def _mul_basis(k1: SchurBasisIndex, k2: SchurBasisIndex) -> SchurElement:
@@ -166,26 +171,40 @@ def _mul_basis(k1: SchurBasisIndex, k2: SchurBasisIndex) -> SchurElement:
 def expand_in_basis(lam: Weight, mu: Weight, value: HeckeElement) -> SchurElement:
     """Write a Hecke element as a combination of double-coset sums.
 
-    Greedy extraction: take a minimal-length support element (it is the
-    minimal representative of its double coset), subtract its coset sum,
-    repeat.  The remainder is one working dict, updated in place.  Any
-    nonzero remainder raises BasisExpansionError.
+    Greedy extraction: take a minimal-length support element d of the
+    remainder.  It must be the minimal representative of its double coset
+    S_lambda d S_mu, and its coefficient c is the coefficient of phi^d.
+    Every member of that coset must carry exactly c; the whole coset is
+    removed from the remainder, and the loop repeats.  The remainder is one
+    working dict, updated in place, and its support is sorted once: the
+    next pivot is the next element in that order not yet removed.  A pivot
+    that is not coset-minimal, a missing coset member or a member with
+    another coefficient raises BasisExpansionError, so the value is
+    accepted exactly when it is a combination of coset sums.
     """
+    # Checked here, so that SchurBasisIndex below can only reject d.
+    if lam.n != mu.n or lam.r != mu.r or value.r != lam.r:
+        raise ValueError("weights and value must share (n, r)")
     pil, pim = young_parabolic(lam), young_parabolic(mu)
     out: dict[SchurBasisIndex, LaurentPoly] = {}
     rem = dict(value.terms)
-    while rem:
-        d = min(rem, key=lambda w: (w.length(), w.z, w.window))
-        if not is_double_coset_min(d, pil, pim):
+    for d in sorted(rem, key=_perm_key):
+        if d not in rem:
+            continue  # removed with an earlier pivot's coset
+        try:
+            idx = SchurBasisIndex(lam, mu, d)  # checks that d is coset-minimal
+        except ValueError as exc:
             raise BasisExpansionError(
                 f"minimal support element {d.render()} is not coset-minimal"
-            )
+            ) from exc
         c = rem[d]
-        idx = SchurBasisIndex(lam, mu, d)
-        for w, x in phi_value(idx).terms.items():
-            add_term(rem, w, -(x * c))
-        if d in rem:
-            raise BasisExpansionError("extraction failed to clear the pivot")
+        for w in enumerate_double_coset(pil, d, pim):
+            x = rem.pop(w, None)
+            if x != c:
+                raise BasisExpansionError(
+                    f"coset of {d.render()}: {w.render()} has coefficient "
+                    f"{'none' if x is None else x.render()}, not {c.render()}"
+                )
         out[idx] = c
     return SchurElement(lam.n, lam.r, out)
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aschur.aweyl import (
     AffinePerm,
@@ -63,6 +65,55 @@ def test_one_sided_multiplications_agree_with_compose():
             k = rng.randint(-2, 2)
             assert w.mul_rho_right(k) == w * AffinePerm.rho(r, k)
             assert w.mul_rho_left(k) == AffinePerm.rho(r, k) * w
+
+
+@st.composite
+def valid_perms(draw):
+    """A random valid rho^z w: a permutation of 1..r, shifted by multiples
+    of r that sum to zero."""
+    r = draw(st.integers(2, 6))
+    perm = draw(st.permutations(range(1, r + 1)))
+    shifts = draw(st.lists(st.integers(-3, 3), min_size=r - 1, max_size=r - 1))
+    shifts.append(-sum(shifts))
+    window = tuple(x + r * k for x, k in zip(perm, shifts))
+    return AffinePerm(r, draw(st.integers(-3, 3)), window)
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_perms(), st.integers(-7, 7))
+def test_unchecked_one_sided_products_are_valid(u, k):
+    # the one-sided products skip the window checks; each result must pass
+    # them and agree with the general product
+    r = u.r
+
+    def checked(w):
+        assert type(w.window) is tuple
+        return AffinePerm(w.r, w.z, w.window)
+
+    for i in range(1, r + 1):
+        s = AffinePerm.s(r, i)
+        assert checked(u.mul_gen_right(i)) == u.mul_gen_right(i) == u * s
+        assert checked(u.mul_gen_left(i)) == u.mul_gen_left(i) == s * u
+    rho = AffinePerm.rho(r, k)
+    assert checked(u.mul_rho_right(k)) == u.mul_rho_right(k) == u * rho
+    assert checked(u.mul_rho_left(k)) == u.mul_rho_left(k) == rho * u
+
+
+def test_public_constructors_reject_invalid_windows():
+    for bad in ((1, 2), (1, 4, 3), (2, 1, 4)):
+        with pytest.raises(ValueError):
+            AffinePerm(3, 0, bad)
+    with pytest.raises(ValueError):
+        AffinePerm.parse("[1,4,3]")
+    with pytest.raises(ValueError):
+        AffinePerm.s(3, 4)
+
+
+def test_no_generator_at_r_1():
+    # W is trivial at r = 1: the extended group is generated by rho alone
+    with pytest.raises(ValueError, match="no generator s_i"):
+        AffinePerm.s(1, 1)
+    assert AffinePerm.rho(1, 2).apply(1) == 3
 
 
 def test_length_examples():
@@ -193,28 +244,42 @@ def _product_coset(pi1, d, pi2):
     return {a * d * b for a in group(pi1) for b in group(pi2)}
 
 
-@pytest.mark.parametrize("r", [3, 4])
+def _coset_cases(r):
+    """(pi1, d, pi2) with d minimal.  At r <= 4: every pair of parabolics of at most two generators and every
+    d of length <= 2 times rho^-1, 1 or rho.  At r = 5: a seeded sample of
+    parabolics of up to three generators (the affine s_5 included) and d
+    with rho powers up to 2."""
+    if r <= 4:
+        subsets = [(), *((i,) for i in range(1, r + 1)),
+                   *((i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1))]
+        pis = [ParabolicIndex.make(r, gens) for gens in subsets]
+        short = list(enumerate_up_to_length(r, 2))
+        short += [w.mul_rho_left(z) for w in short for z in (-1, 1)]
+        cases = [(pi1, d, pi2) for pi1 in pis for pi2 in pis for d in short
+                 if is_double_coset_min(d, pi1, pi2)]
+        assert len(cases) > len(pis) ** 2
+        return cases
+    rng = random.Random(29)
+    cases = []
+    while len(cases) < 60:
+        pi1, pi2 = (ParabolicIndex.make(r, rng.sample(range(1, r + 1), rng.randint(0, 3)))
+                    for _ in range(2))
+        d = double_coset_min(random_perm(rng, r, max_letters=8), pi1, pi2)
+        cases.append((pi1, d, pi2))
+    assert sum(d.z != 0 for _, d, _ in cases) > 20
+    return cases
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
 def test_cached_double_coset_matches_products(r):
-    subsets = [(), *((i,) for i in range(1, r + 1)),
-               *((i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1))]
-    pis = [ParabolicIndex.make(r, gens) for gens in subsets]
-    short = list(enumerate_up_to_length(r, 2))
-    short += [w.mul_rho_left(z) for w in short for z in (-1, 1)]
-    checked = 0
     members: dict[AffinePerm, AffinePerm] = {}
-    for pi1 in pis:
-        for pi2 in pis:
-            for d in short:
-                if not is_double_coset_min(d, pi1, pi2):
-                    continue
-                coset = enumerate_double_coset(pi1, d, pi2)
-                assert isinstance(coset, frozenset)
-                assert coset == _product_coset(pi1, d, pi2), (pi1, d, pi2)
-                assert enumerate_double_coset(pi1, d, pi2) is coset  # served from the cache
-                # cosets share their members: one object per element
-                assert all(members.setdefault(w, w) is w for w in coset)
-                checked += 1
-    assert checked > len(pis) ** 2
+    for pi1, d, pi2 in _coset_cases(r):
+        coset = enumerate_double_coset(pi1, d, pi2)
+        assert isinstance(coset, frozenset)
+        assert coset == _product_coset(pi1, d, pi2), (pi1, d, pi2)
+        assert enumerate_double_coset(pi1, d, pi2) is coset  # served from the cache
+        # cosets share their members: one object per element
+        assert all(members.setdefault(w, w) is w for w in coset)
 
 
 def test_enumerate_parabolic():

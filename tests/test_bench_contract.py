@@ -2,10 +2,11 @@
 
 perfbench/ drives aschur only through names (present.suite,
 present.q15_instance, present.verify_identity, the instances' lhs, rhs,
-params and name), and it knows the suite names.  This runs every unit of
-the verify workloads once, in process, as a worker would, so a change
-that breaks one of those names fails here and not only in a benchmark
-run.  perfbench/ is imported, never changed.
+params and name, and for schur-products the schur, aweyl and hecke names
+that workloads.py imports), and it knows the suite names.  This runs every
+unit of the three workloads once, in process, as a worker would, so a
+change that breaks one of those names, or a wrong phi product, fails here
+and not only in a benchmark run.  perfbench/ is imported, never changed.
 """
 from __future__ import annotations
 
@@ -57,3 +58,18 @@ def test_negative_control_unit_fails_its_instance(bench):
     n, r, inst = ur.items[0].payload
     report = present.verify_identity(n, r, inst)
     assert not report.passed and report.counterexample
+
+
+def test_schur_products_unit_runs_clean(bench):
+    run, workloads = bench
+    assert run.UNITS["schur-products"] == ("schur-products",)
+    ur = workloads.UnitRun("schur-products", workloads.make_inputs("schur-products", seed=7))
+    count = ur.build()
+    kinds = [item.kind for item in ur.items]
+    assert kinds.count("q17-19") == 1 and kinds.count("generator-product") == 2
+    assert kinds.count("triple") == count - 3 > 0
+    for _ in range(count):
+        ur.step()
+    assert ur.res.failures == [], ur.res.failures[:3]
+    assert len(ur.res.items) == count and all(ok for *_, ok in ur.res.items)
+    assert ur.res.instances > 0  # the q17-19 suite reported its instances

@@ -50,6 +50,14 @@ def test_weyl_reduced_and_coset(capsys):
     assert code == 0 and out.strip() == "rho^0 * [1,2,3]"
 
 
+def test_hecke_xlambda_weight_must_sum_to_r(capsys):
+    code, out, err = run(capsys, "hecke", "xlambda", "--r", "3", "--lambda", "2,2,0")
+    assert code == 2 and out == ""
+    assert err == "usage error: --lambda '2,2,0' must sum to --r = 3\n"
+    code, out, _ = run(capsys, "hecke", "xlambda", "--r", "4", "--lambda", "2,2,0")
+    assert code == 0 and out.count("T[") == 4
+
+
 def test_hecke_commands(capsys):
     code, out, _ = run(capsys, "hecke", "mul", "--r", "3", "--a", "[2,1,3]", "--b", "[2,1,3]")
     assert code == 0 and "v^2" in out
@@ -206,6 +214,21 @@ def test_dimensions_must_match_n_and_r(capsys):
         ("schur", "phi", "--n", "3", "--r", "2"),
         ("schur", "mul", "--n", "3", "--r", "2", "--a", "1,1,0 | [1,2] | 2,0,0"),
         ("schur", "embed", "--n", "3", "--r", "2"),
+        # matrix from-coset reads its weights and d against --n and --r
+        ("matrix", "from-coset", "--n", "3", "--r", "2",
+         "--lambda", "1,1,1", "--mu", "1,1,1", "--d", "[1,2,3]"),
+        ("matrix", "from-coset", "--n", "4", "--r", "3",
+         "--lambda", "1,1,1", "--mu", "1,1,1", "--d", "[1,2,3]"),
+        ("matrix", "from-coset", "--n", "3", "--r", "3",
+         "--lambda", "1,1,1", "--mu", "1,1,1", "--d", "[1,2]"),
+        ("matrix", "from-coset", "--n", "3", "--r", "3", "--lambda", "1,1,1", "--mu", "1,1,1"),
+        ("matrix", "from-coset", "--n", "3", "--r", "3", "--d", "[1,2,3]"),
+        ("matrix", "dstat", "--n", "2", "--r", "2"),
+        ("matrix", "aperiodic", "--n", "2", "--r", "2"),
+        ("matrix", "to-coset", "--n", "2", "--r", "2"),
+        # x_lambda lives in the Hecke algebra of --r
+        ("hecke", "xlambda", "--r", "3", "--lambda", "2,2,0"),
+        ("hecke", "xlambda", "--r", "3"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -168,6 +169,52 @@ def test_expansion_rejects_unequal_coset_coefficients():
     value = t_element(e) + t_element(s1).scaled(LaurentPoly.const(2))
     with pytest.raises(BasisExpansionError):
         expand_in_basis(lam, lam, value)
+
+
+def test_expansion_rejects_a_coset_missing_one_member():
+    # the coset sum of S_(3) d S_(2,1) at r = 3, less one member that is not
+    # the pivot
+    lam, mu = Weight((3, 0, 0)), Weight((2, 1, 0))
+    idx = SchurBasisIndex.make(lam, mu, AffinePerm.s(3, 3))
+    value = phi_value(idx)
+    assert len(value.terms) > 2
+    gone = max(value.terms, key=lambda w: w.length())
+    assert gone != idx.d
+    with pytest.raises(BasisExpansionError, match="none"):
+        expand_in_basis(lam, mu, value - t_element(gone))
+    assert expand_in_basis(lam, mu, value) == SchurElement.basis(idx)
+
+
+def test_expansion_rejects_a_stray_term():
+    # a valid value plus one T_w that no full coset covers: w is minimal in
+    # its coset {s2, s1 s2, s2 s1, s1 s2 s1} of W_(2) at r = 2, whose other
+    # members are absent
+    lam = Weight((2, 0, 0))
+    e, s2 = AffinePerm.identity(2), AffinePerm.s(2, 2)
+    good = phi_value(SchurBasisIndex(lam, lam, e))
+    assert expand_in_basis(lam, lam, good) == SchurElement.basis(SchurBasisIndex(lam, lam, e))
+    with pytest.raises(BasisExpansionError):
+        expand_in_basis(lam, lam, good + t_element(s2))
+    # a stray T_w whose w is not minimal in its coset fails the pivot check
+    with pytest.raises(BasisExpansionError, match="not coset-minimal"):
+        expand_in_basis(lam, lam, good + t_element(AffinePerm.s(2, 1) * s2))
+    # weights of another (n, r) are the caller's error, not a bad value
+    with pytest.raises(ValueError):
+        expand_in_basis(lam, Weight((1, 1)), good)
+
+
+def test_generator_product_at_r_6():
+    # phi_{(6),(5,1)} phi_{(5,1),(6)} = [6]_q phi_{(6),(6)}, with
+    # [6]_q = 1 + q + ... + q^5; the left factor is the sum over all 720
+    # elements of S_6 (r = 4 and 5 are in the golden generator products)
+    r = 6
+    top, hook = Weight((r, 0, 0)), Weight((r - 1, 1, 0))
+    e = AffinePerm.identity(r)
+    left = SchurElement.basis(SchurBasisIndex(top, hook, e))
+    right = SchurElement.basis(SchurBasisIndex(hook, top, e))
+    qint = sum((LaurentPoly.q(k) for k in range(r)), LaurentPoly.zero())
+    assert len(phi_value(SchurBasisIndex(top, hook, e)).terms) == math.factorial(r)
+    assert left * right == SchurElement.basis(SchurBasisIndex(top, top, e)).scaled(qint)
 
 
 def test_phi_value_matches_x_lambda_action():

@@ -1,10 +1,13 @@
 """The verification engine: relation suites checked exactly on all of V^(x)r.
 
-Each relation instance is a pair of operator words evaluated on every
-basis tensor with indices in [1, n] (the r! permutations of 1..r for an
+Each relation instance is a pair of operator words evaluated on the
+basis tensors with indices in [1, n] (the r! permutations of 1..r for an
 omega-space relation).  Every symbol commutes with adding n to any one
 index, so a vanishing difference there vanishes on all of V^(x)r, and a
-pass is complete.  A deliberately corrupted relation demonstrates what
+pass is complete.  Fewer tensors suffice when every term has a projector
+(only its source weight spaces) or when the words touch only some
+residues (those plus one representative of the rest); each report names
+the domain it evaluated.  A deliberately corrupted relation demonstrates what
 failure looks like.
 """
 from aschur.present import (

@@ -19,8 +19,15 @@ relation instance passes when lhs - rhs annihilates every basis tensor
 with indices in [1, n], or for an omega-space relation the r! of them of
 weight omega.  The action commutes with adding n to any single index
 (see aschur.tensor), so a pass is equality on all of V^(x)r, or on the
-omega weight space V_omega, and every report says so.  The phi-basis
-relations Q17-Q19 are identities of SchurElements, checked exactly.
+omega weight space V_omega.  Two lemmas shrink that box and keep it
+complete (verification_domain).  Grading: a word with a projector is
+zero off one source weight, so when every term has one, only those
+weight spaces are evaluated.  Inert residues: an index whose residue no
+symbol of a P- and R-free relation touches is never moved or counted,
+so one representative residue stands for all such indices.  Every
+report names the domain it evaluated and says that it is complete.  The
+phi-basis relations Q17-Q19 are identities of SchurElements, checked
+exactly.
 
 Also here: the weight idempotents, the rotation automorphism and the
 E/F-swapping antiautomorphism, the commutation and cancellation rules
@@ -57,6 +64,7 @@ from .operators import (
 from .ring import LaurentPoly, add_term, gauss_binom, quantum_fact, signed_quantum_int
 from .schur import SchurBasisIndex, SchurElement
 from .tensor import (
+    Basis,
     act_expr_basis,
     render_basis,
     render_vector,
@@ -126,16 +134,143 @@ class CheckReport:
         }
 
 
-def verify_identity(n: int, r: int, inst: RelationInstance) -> CheckReport:
-    """Evaluate lhs - rhs on the residue fundamental domain [1, n]^r (its
-    weight-omega part for an omega-space relation); exact zero means pass,
-    on all of V^(x)r or V_omega by the shift lemma in aschur.tensor."""
+def source_weights(n: int, r: int, word: Word) -> tuple[Weight, ...] | None:
+    """The weights of V^(x)r off which a word with a projector is zero:
+    one weight, or none when the word is zero everywhere.  None when the
+    word has no projector.
+
+    Every symbol is weight-homogeneous, so each P(lam) pins the weight of
+    the source tensor: undo the shifts of the symbols to its right (E_i,
+    e_i: -alpha_i; F_i, f_i: +alpha_i; R, R^-1: rotate back).
+
+    >>> source_weights(3, 2, (E(1), P(Weight((2, 0, 0)))))
+    (Weight(2, 0, 0),)
+    >>> source_weights(3, 2, (P(Weight((2, 0, 0))), E(1)))
+    (Weight(1, 1, 0),)
+    >>> source_weights(3, 2, (P(Weight((2, 0, 0))), E(1), P(Weight((2, 0, 0)))))
+    ()
+    """
+    pin: list[int] | None = None  # the weight just right of the symbols read so far
+    for s in word:
+        if s.kind == "P":
+            if s.weight.n != n or pin not in (None, list(s.weight.parts)):
+                return ()
+            pin = list(s.weight.parts)
+        elif pin is None:
+            continue
+        elif s.kind in ("E", "e", "F", "f"):
+            sign = 1 if s.kind in ("E", "e") else -1
+            pin[(s.index - 1) % n] -= sign
+            pin[s.index % n] += sign
+        elif s.kind == "R":
+            pin = pin[1:] + pin[:1]
+        elif s.kind == "Rinv":
+            pin = pin[-1:] + pin[:-1]
+    if pin is None:
+        return None
+    if sum(pin) != r or min(pin) < 0:
+        return ()
+    return (Weight(tuple(pin)),)
+
+
+def touched_residues(n: int, word: Word) -> set[int] | None:
+    """The residues a word without P, R or R^-1 reads or moves: {i, i+1}
+    for E_i, F_i, e_i, f_i and {i} for K_i^(+-1), H_i.  None for a word
+    with P, R or R^-1, which read every residue.
+
+    >>> sorted(touched_residues(4, (E(4), K(2))))
+    [1, 2, 4]
+    """
+    out: set[int] = set()
+    for s in word:
+        if s.kind in ("P", "R", "Rinv"):
+            return None
+        out.add(residue(s.index, n))
+        if s.kind in ("E", "F", "e", "f"):
+            out.add(residue(s.index + 1, n))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _weight_space(n: int, lam: Weight) -> tuple[Basis, ...]:
+    """The basis tensors of weight lam with indices in [1, n]; cached, as
+    the instances of a suite share a few weights."""
+    return tuple(weight_space_basis(n, lam, 1, n))
+
+
+def verification_domain(n: int, r: int, inst: RelationInstance) -> tuple[Iterable[Basis], str]:
+    """The basis tensors verify_identity evaluates an instance on, and the
+    window text naming them: the first of these complete domains that
+    applies.
+
+    - omega: an omega-space relation, on the r! tensors of weight omega.
+    - graded: every term of lhs and rhs has a projector.  Each term is zero
+      off its source weight (source_weights), so only those weight spaces
+      are evaluated.
+    - inert residues: no word has P, R or R^-1, and some residue c is
+      outside the residues S that the words touch (touched_residues).
+      The tensors with indices in S and c are evaluated.
+    - full: [1, n]^r.
+
+    >>> zero = OperatorExpr.zero()
+    >>> vecs, window = verification_domain(
+    ...     3, 2, RelationInstance("", "", _w(E(1), P(Weight((1, 1, 0)))), zero))
+    >>> list(vecs), window
+    ([(1, 2), (2, 1)], 'weight spaces (1,1,0) with indices in [1,3]; complete on V^(x)2')
+    >>> vecs, window = verification_domain(4, 2, RelationInstance("", "", _w(K(1), K(2)), zero))
+    >>> len(list(vecs)), window
+    (9, 'indices in {1,2} plus 3 for every other residue; complete on V^(x)2')
+    >>> vecs, window = verification_domain(
+    ...     3, 2, RelationInstance("", "", _w(Rinv, E(2), R), _w(E(1))))
+    >>> len(list(vecs)), window
+    (9, 'all basis tensors with indices in [1,3]; complete on V^(x)2')
+    """
     if inst.domain == "omega":
-        vectors = weight_space_basis(n, omega(n, r), 1, n)
-        window = f"omega weight space, indices in [1,{n}]; complete on V_omega"
+        return (_weight_space(n, omega(n, r)),
+                f"omega weight space, indices in [1,{n}]; complete on V_omega")
+    complete = f"; complete on V^(x){r}"
+    words = [w for expr in (inst.lhs, inst.rhs) for w in expr.terms]
+    spaces: set[Weight] = set()
+    for w in words:
+        pinned = source_weights(n, r, w)
+        if pinned is None:
+            break
+        spaces.update(pinned)
     else:
-        vectors = product(range(1, n + 1), repeat=r)
-        window = f"all basis tensors with indices in [1,{n}]; complete on V^(x){r}"
+        ordered = sorted(spaces, key=lambda lam: lam.parts, reverse=True)
+        names = " ".join(lam.render() for lam in ordered) or "none (every term is zero)"
+        return ([b for lam in ordered for b in _weight_space(n, lam)],
+                f"weight spaces {names} with indices in [1,{n}]{complete}")
+    active: set[int] = set()
+    for w in words:
+        touched = touched_residues(n, w)
+        if touched is None:
+            break
+        active |= touched
+    else:
+        if len(active) < n:
+            c = min(set(range(1, n + 1)) - active)
+            shown = ",".join(map(str, sorted(active)))
+            return (product(sorted(active | {c}), repeat=r),
+                    f"indices in {{{shown}}} plus {c} for every other residue{complete}")
+    return (product(range(1, n + 1), repeat=r),
+            f"all basis tensors with indices in [1,{n}]{complete}")
+
+
+def verify_identity(n: int, r: int, inst: RelationInstance) -> CheckReport:
+    """Evaluate lhs - rhs on the smallest complete domain that applies
+    (verification_domain); exact zero means pass on all of V^(x)r, or of
+    V_omega for an omega-space relation.
+
+    Completeness rests on three lemmas.  Shift: the action commutes with
+    adding n to one index (aschur.tensor), so [1, n]^r, or its weight-omega
+    part, stands for every tensor.  Grading: a word that contains P(lam)
+    is zero off one source weight, so when every term has a projector only
+    those weight spaces can carry a difference.  Inert residues: an index
+    whose residue no symbol touches is never moved and never counted, so
+    one representative residue stands for all of them.
+    """
+    vectors, window = verification_domain(n, r, inst)
     for b in vectors:
         diff = vec_sub(act_expr_basis(n, inst.lhs, b), act_expr_basis(n, inst.rhs, b))
         if diff:

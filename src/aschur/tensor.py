@@ -20,6 +20,16 @@ t_j mod n, and it moves entries by fixed displacements.  So the action
 commutes with adding n to any single coordinate of a basis tensor, and
 an operator identity that holds on the n^r basis tensors with indices in
 [1, n] holds on all of V^(x)r (the verification engine relies on this).
+
+Two further facts let the engine evaluate fewer of those tensors and
+still cover all of V^(x)r (aschur.present.verification_domain).  Every
+symbol is weight-homogeneous: E_i maps weight lambda to lambda + alpha_i,
+F_i to lambda - alpha_i, R to the rotated weight, and K, H, P keep it;
+so a word containing P(lambda) vanishes off one source weight.  And E_i, F_i, e_i,
+f_i read and move only coordinates of residue i and i + 1, K_i and H_i
+only read residue i: a coordinate whose residue no symbol of a P- and
+R-free word touches stays fixed and never enters a coefficient, so
+replacing it by any other such residue commutes with the action.
 """
 from __future__ import annotations
 

@@ -2,7 +2,8 @@
 
 Every check is exact; run with `pytest tests/test_acceptance.py -v -s`.
 The big worked example (A7) carries the `slow` marker but still runs by
-default; it completes in well under its budget on the reduced window.
+default; it is quick because it evaluates each monomial only on the
+weight space it starts from, within the residue domain [1, n]^r.
 """
 import itertools
 import random

@@ -4,8 +4,8 @@
 
 - the `aschur verify --format structured` records of every suite at
   (3, 2) and (4, 2), in full;
-- a sha256 of those records for every suite at (4, 3) and (5, 3)
-  (`verify_digests.json`; the full files would be about 1.5 MB);
+- a sha256 of those records for every suite at (4, 3), (5, 3) and
+  (6, 4) (`verify_digests.json`; the full files would be about 12 MB);
 - a sha256 of every suite's relation instances at (3, 2), (4, 2), (4, 3)
   and (5, 3) (`instance_digests.json`): the sorted records of name,
   description, params, domain and the rendered lhs and rhs, so a change
@@ -43,8 +43,8 @@ PRODUCTS_PATH = GOLDEN / "generator_products.jsonl"
 VERIFY_DIGESTS_PATH = GOLDEN / "verify_digests.json"
 INSTANCE_DIGESTS_PATH = GOLDEN / "instance_digests.json"
 SIZES = ((3, 2), (4, 2))
-DIGEST_SIZES = ((4, 3), (5, 3))
-INSTANCE_SIZES = SIZES + DIGEST_SIZES
+DIGEST_SIZES = ((4, 3), (5, 3), (6, 4))
+INSTANCE_SIZES = SIZES + ((4, 3), (5, 3))
 GENERATOR_N, GENERATOR_RS = 3, (4, 5)
 
 

@@ -3,7 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
-from aschur.operators import E, F, OperatorExpr, P, R, Sym
+from aschur.operators import E, F, K, OperatorExpr, P, R, Sym
 from aschur.present import (
     SUITE_NAMES,
     RelationInstance,
@@ -22,6 +22,7 @@ from aschur.present import (
     run_suite,
     sigma_antiaut,
     suite,
+    verification_domain,
     verify_identity,
     zeta,
 )
@@ -29,6 +30,7 @@ from aschur.ring import LaurentPoly, gauss_binom, quantum_fact
 from aschur.tensor import (
     act_expr_basis,
     render_basis,
+    render_vector,
     tau,
     vec_sub,
     weight_of,
@@ -127,9 +129,19 @@ def test_omega_negative_control():
 def _window_verdict(n: int, r: int, inst: RelationInstance) -> bool:
     """lhs = rhs on [1-L, n+L]^r with L the longest word (at least 1),
     restricted to weight omega for an omega-space relation: the window
-    verify_identity used to check, kept as an oracle for its domain."""
+    verify_identity checked before the residue domain, kept as an oracle."""
     L = max([len(w) for e in (inst.lhs, inst.rhs) for w in e.terms] + [1])
-    vectors = product(range(1 - L, n + L + 1), repeat=r)
+    return _verdict_on(n, r, inst, product(range(1 - L, n + L + 1), repeat=r))
+
+
+def _box_verdict(n: int, r: int, inst: RelationInstance) -> bool:
+    """lhs = rhs on all of [1, n]^r (its weight-omega part for an
+    omega-space relation): the complete domain before the grading and
+    inert-residue reductions, kept as an oracle for them."""
+    return _verdict_on(n, r, inst, product(range(1, n + 1), repeat=r))
+
+
+def _verdict_on(n, r, inst, vectors) -> bool:
     if inst.domain == "omega":
         vectors = (b for b in vectors if weight_of(n, b) == omega(n, r))
     return all(
@@ -138,19 +150,50 @@ def _window_verdict(n: int, r: int, inst: RelationInstance) -> bool:
     )
 
 
-@pytest.mark.parametrize("n,r", [(3, 2), (4, 2)])
+def _corrupted_per_domain(n: int, r: int) -> dict[str, RelationInstance]:
+    """One corrupted instance for each kind of domain, keyed by the start
+    of the window text it must report."""
+    lam, mu = all_weights(n, r)[:2]
+    return {
+        "weight spaces": RelationInstance(
+            "R1-corrupted", "1_lam 1_mu = 1_lam for lam != mu",
+            OperatorExpr.word([P(lam), P(mu)]), projector(lam)),
+        "indices in {1,2} plus 3": RelationInstance(
+            "Q3-corrupted", "K_1 E_1 = v^2 E_1 K_1",
+            OperatorExpr.word([K(1), E(1)]), OperatorExpr.word([E(1), K(1)], LaurentPoly.v(2))),
+        "all basis tensors": q15_instance(n, r, corrupt=True),
+        "omega weight space": _corrupted_tau_quadratic(n, r),
+    }
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 2), (5, 3)])
 def test_domain_verdicts_match_window(n, r):
-    insts = [q15_instance(n, r, corrupt=True), _corrupted_tau_quadratic(n, r)]
+    # every instance of every tensor suite gets the verdict of the whole
+    # box [1, n]^r (and, at the small sizes, of the old wider window)
+    insts = []
     for name in SUITE_NAMES:
         if name != "q17-19":  # the phi-basis suite never reaches verify_identity
             insts += suite(name, n, r)
-    verdicts = []
     for inst in insts:
         rep = verify_identity(n, r, inst)
         assert "; complete on V" in rep.window
-        assert rep.passed == _window_verdict(n, r, inst), rep.line()
-        verdicts.append(rep.passed)
-    assert verdicts[:2] == [False, False] and all(verdicts[2:])
+        assert rep.passed and _box_verdict(n, r, inst), rep.line()
+        if n < 5:
+            assert _window_verdict(n, r, inst), rep.line()
+    # a corrupted instance on each kind of domain FAILs, and its
+    # counterexample replays: the named tensor, from the evaluated domain,
+    # gives the reported nonzero difference
+    for kind, inst in _corrupted_per_domain(n, r).items():
+        rep = verify_identity(n, r, inst)
+        assert rep.window.startswith(kind) and "; complete on V" in rep.window, rep.line()
+        assert not rep.passed and not _box_verdict(n, r, inst), rep.line()
+        if n < 5:
+            assert not _window_verdict(n, r, inst), rep.line()
+        vectors, _ = verification_domain(n, r, inst)
+        b = tuple(int(t) for t in rep.counterexample.split(" -> ")[0][2:-1].split(","))
+        assert b in list(vectors)
+        diff = vec_sub(act_expr_basis(n, inst.lhs, b), act_expr_basis(n, inst.rhs, b))
+        assert diff and rep.counterexample == f"{render_basis(b)} -> {render_vector(diff)}"
 
 
 def test_commute_projector():

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aschur.operators import E, F, K, Kinv, OperatorExpr, P, R, Rinv, Sym, cH, ce, cf
-from aschur.ring import LaurentPoly, signed_quantum_int
+from aschur.present import source_weights, touched_residues
+from aschur.ring import LaurentPoly, add_term, signed_quantum_int
 from aschur.tensor import (
     act_expr_basis,
     act_symbol,
@@ -15,7 +16,7 @@ from aschur.tensor import (
     weight_of,
     weight_space_basis,
 )
-from aschur.weights import Weight, all_weights, omega
+from aschur.weights import Weight, all_weights, omega, residue
 
 ONE = LaurentPoly.one()
 V = LaurentPoly.v()
@@ -111,6 +112,83 @@ def test_single_coordinate_shift_equivariance(case):
     lhs = act_symbol(n, sym, unit(moved(b)))
     rhs = {moved(bb): c for bb, c in act_symbol(n, sym, unit(b)).items()}
     assert lhs == rhs
+
+
+NON_PROJECTOR_KINDS = ["E", "F", "K", "Kinv", "R", "Rinv", "e", "f", "H"]
+
+
+def _symbols(draw, n, r, max_size, kinds=NON_PROJECTOR_KINDS):
+    """A list of symbols of the given kinds; a P takes a random weight."""
+    out = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=max_size)):
+        if kind == "P":
+            out.append(P(draw(st.sampled_from(all_weights(n, r)))))
+        else:
+            out.append({"R": R, "Rinv": Rinv}.get(kind) or Sym(kind, draw(st.integers(1, n))))
+    return out
+
+
+@st.composite
+def projector_words(draw):
+    """(n, r, word, b): a word with one to three projectors and a basis
+    tensor b.  Each P(lam) takes, half the time, the weight that the
+    symbols to its right give b when they do not annihilate it, so that
+    many words are nonzero on b."""
+    n, r = draw(st.sampled_from([(2, 2), (3, 2), (4, 2), (4, 3), (5, 3), (3, 4)]))
+    b = tuple(draw(st.lists(st.integers(-n, 2 * n), min_size=r, max_size=r)))
+    word = _symbols(draw, n, r, 5)
+    slots = draw(st.lists(st.integers(0, len(word)), min_size=1, max_size=3))
+    for pos in sorted(set(slots), reverse=True):
+        image = act_word(n, tuple(word[pos:]), unit(b))
+        if image and draw(st.booleans()):
+            lam = weight_of(n, next(iter(image)))
+        else:
+            lam = draw(st.sampled_from(all_weights(n, r)))
+        word.insert(pos, P(lam))
+    return n, r, tuple(word), b
+
+
+@settings(max_examples=800, deadline=None)
+@given(projector_words())
+def test_projector_word_is_zero_off_its_source_weight(case):
+    # the grading lemma: a word with a projector sends every basis tensor
+    # whose weight is not its source weight to 0
+    n, r, word, b = case
+    mus = source_weights(n, r, word)
+    assert mus is not None and len(mus) <= 1
+    if weight_of(n, b) not in mus:
+        assert act_word(n, word, unit(b)) == {}
+
+
+@st.composite
+def inert_words(draw):
+    """(n, word, b): a word of up to three symbols of any kind, and a basis
+    tensor b."""
+    n, r = draw(st.sampled_from([(3, 2), (4, 2), (4, 3), (5, 3), (6, 2), (6, 3)]))
+    word = tuple(_symbols(draw, n, r, 3, NON_PROJECTOR_KINDS + ["P"]))
+    b = tuple(draw(st.lists(st.integers(-2 * n, 3 * n), min_size=r, max_size=r)))
+    return n, word, b
+
+
+@settings(max_examples=800, deadline=None)
+@given(inert_words())
+def test_inert_residues_commute_with_the_action(case):
+    # the inert-residue lemma: for every word that touched_residues accepts
+    # (no P, R or R^-1), replacing each coordinate whose residue the word
+    # does not touch by one representative residue c commutes with the action
+    n, word, b = case
+    touched = touched_residues(n, word)
+    if touched is None or len(touched) == n:
+        return
+    c = min(set(range(1, n + 1)) - touched)
+
+    def relabel(basis):
+        return tuple(t if residue(t, n) in touched else c for t in basis)
+
+    pushed = {}
+    for bb, coeff in act_word(n, word, unit(b)).items():
+        add_term(pushed, relabel(bb), coeff)
+    assert pushed == act_word(n, word, unit(relabel(b)))
 
 
 def test_commutator_matches_k_difference():

@@ -11,6 +11,7 @@ the domain it evaluated.  A deliberately corrupted relation demonstrates what
 failure looks like.
 """
 from aschur.present import (
+    build_M,
     cancellation,
     factor_En,
     q15_instance,
@@ -45,6 +46,7 @@ z = cancellation(lam, 1, 2, "FE")
 print(f"  F1^2 E1^2 1_{lam.render()} = ({z.render()}) 1_{lam.render()}")
 
 print("\nPulling E_n across a weight with the transport monomial:")
-res = factor_En(4, 3, Weight((2, 1, 0, 0)))
-print(f"  holds: {res.holds}   scalar z = {res.z.render()}")
-print(f"  monomial: {res.m.render()}")
+lam = Weight((2, 1, 0, 0))
+res = factor_En(4, 3, lam)
+print(f"  holds: {res.holds}   scalar z = {res.render_z()}")
+print(f"  monomial: {build_M(lam).render()}")

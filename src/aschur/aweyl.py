@@ -156,10 +156,6 @@ class AffinePerm:
     def is_identity(self) -> bool:
         return self.z == 0 and self.window == tuple(range(1, self.r + 1))
 
-    def is_finite(self) -> bool:
-        """Membership in the finite symmetric group <s_1, ..., s_{r-1}>."""
-        return self.z == 0 and all(1 <= x <= self.r for x in self.window)
-
     # -- cheap one-sided multiplications ---------------------------------------
     #
     # These four map a valid element to a valid one, so they build their

@@ -204,8 +204,6 @@ def _cmd_schur(args) -> int:
 
 def _cmd_tensor(args) -> int:
     n = args.n
-    if n < 1:
-        raise UsageError(f"--n must be positive (got {n})")
     if args.action == "act":
         if not args.word or not args.vector:
             raise UsageError("act needs --word and --vector")
@@ -271,10 +269,10 @@ def _cmd_monomial(args) -> int:
     elif args.action == "factor-en":
         res = factor_En(n, r, lam)
         text = (f"E_{n} 1_lam = z * sigma(W) (E_{n} 1_omega) M\n"
-                f"z = {res.z.render()}\nholds: {res.holds}\nwindow: {res.window}")
+                f"z = {res.render_z()}\nholds: {res.holds}\nwindow: {res.window}")
         _emit(args, text,
-              {"schema": "aschur.factor/1", "z_num": res.z.num.structured(),
-               "z_den": res.z.den.structured(), "holds": res.holds,
+              {"schema": "aschur.factor/1", "z_num": res.z_num.structured(),
+               "z_den": res.z_den.structured(), "holds": res.holds,
                "window": res.window})
         return 0 if res.holds else 1
     return 0
@@ -404,6 +402,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("n", "r"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise UsageError(f"--{flag} must be positive (got {value})")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -29,6 +29,13 @@ report names the domain it evaluated and says that it is complete.  The
 phi-basis relations Q17-Q19 are identities of SchurElements, checked
 exactly.
 
+LEMMAS holds, in the same row format, the identities the paper proves
+beside the relations: the cancellation principle F_i^c E_i^c 1_lam =
+z 1_lam and its mirror, the E_n factorization den E_n 1_lam = num
+sigma(W) E_n M, the omega anchor 1_omega zeta(w) = zeta(w) and K_i^(+-1)
+= sum_lam v^(+-lam_i) 1_lam.  Suite.run checks them exactly as it checks
+a relation suite.
+
 Also here: the weight idempotents, the rotation automorphism and the
 E/F-swapping antiautomorphism, the commutation and cancellation rules
 for idempotents, the distinguished-monomial analyzer, the zeta elements,
@@ -301,31 +308,25 @@ def verify_schur_relation(inst: RelationInstance) -> CheckReport:
     )
 
 
+def verify_all(n: int, r: int, insts: Iterable[RelationInstance]) -> list[CheckReport]:
+    """Check every instance; the reports are sorted by name and params.
+    run_suite and Suite.run pass an iterator over their list of instances,
+    so that the instances are freed before the sort."""
+    reports = [verify_schur_relation(inst) if inst.domain == "phi" else verify_identity(n, r, inst)
+               for inst in insts]
+    reports.sort(key=lambda rep: (rep.name, sorted(rep.params.items(), key=str)))
+    return reports
+
+
 def suite(name: str, n: int, r: int) -> list[RelationInstance]:
     """All instances of a named relation suite for the given (n, r)."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    spec = SUITES[name]
-    if spec.needs_n_gt_r and n <= r:
-        raise ValueError(f"suite {name!r} requires n > r")
-    out = []
-    for rel, text, family in spec.rows:
-        if callable(text):
-            text = text(r)
-        for params, lhs, rhs in family(n, r):
-            out.append(RelationInstance(rel, text, lhs, rhs, params, spec.domain))
-    return out
+    return SUITES[name].instances(n, r)
 
 
 def run_suite(name: str, n: int, r: int) -> list[CheckReport]:
-    reports = []
-    for inst in suite(name, n, r):
-        if inst.domain == "phi":
-            reports.append(verify_schur_relation(inst))
-        else:
-            reports.append(verify_identity(n, r, inst))
-    reports.sort(key=lambda rep: (rep.name, sorted(rep.params.items(), key=str)))
-    return reports
+    return verify_all(n, r, iter(suite(name, n, r)))
 
 
 # -- index helpers ----------------------------------------------------------------
@@ -707,6 +708,48 @@ def _idempotents_sum(n: int, r: int) -> Iterator[Instance]:
     yield {}, total, OperatorExpr.one()
 
 
+# -- the lemmas ---------------------------------------------------------------------
+
+
+def _cancellation(n: int, r: int) -> Iterator[Instance]:
+    """F_i^c E_i^c 1_lam = z 1_lam and E_i^c F_i^c 1_lam = z 1_lam, wherever
+    cancellation gives z."""
+    for lam in all_weights(n, r):
+        for i in range(1, n + 1):
+            for c in range(1, r + 1):
+                for direction, x, y in (("FE", F(i), E(i)), ("EF", E(i), F(i))):
+                    try:
+                        z = cancellation(lam, i, c, direction)
+                    except ValueError:
+                        continue
+                    yield ({"lam": lam.render(), "i": i, "c": c, "direction": direction},
+                           _w(*power(x, c), *power(y, c), P(lam)), projector(lam).scaled(z))
+
+
+_EN_TEXT = "den E_n 1_lam = num sigma(W) E_n M"
+
+
+def _en_factorization(n: int, r: int) -> Iterator[Instance]:
+    for lam in all_weights(n, r):
+        if lam.parts[0] > 0:
+            lhs, rhs, _, _ = en_factorization_sides(n, r, lam)
+            yield {"lam": lam.render()}, lhs, rhs
+
+
+def _zeta_anchor(n: int, r: int) -> Iterator[Instance]:
+    one_om = projector(omega(n, r))
+    for name in ("rho", "rho-inv") + tuple(f"s{i}" for i in range(1, r + 1)):
+        yield {"element": name}, one_om * zeta(n, r, name), zeta(n, r, name)
+
+
+def _k_from_projectors(n: int, r: int) -> Iterator[Instance]:
+    for i in range(1, n + 1):
+        for sign, k in ((1, K(i)), (-1, Kinv(i))):
+            rhs = OperatorExpr({(P(lam),): LaurentPoly.v(sign * lam.entry(i))
+                                for lam in all_weights(n, r)})
+            yield {"i": i, "sign": sign}, _w(k), rhs
+
+
 # -- the relation table --------------------------------------------------------------
 
 Row = tuple[str, str | Callable[[int], str], Family]  # a callable text takes r
@@ -716,6 +759,21 @@ class Suite(NamedTuple):
     rows: tuple[Row, ...]
     domain: str = "full"  # "omega": the omega weight space; "phi": the phi basis
     needs_n_gt_r: bool = True  # the affine presentation covers only n > r
+
+    def instances(self, n: int, r: int) -> list[RelationInstance]:
+        """Every instance of every row at (n, r)."""
+        if self.needs_n_gt_r and n <= r:
+            raise ValueError(f"this suite requires n > r (got n={n}, r={r})")
+        out = []
+        for rel, text, family in self.rows:
+            if callable(text):
+                text = text(r)
+            for params, lhs, rhs in family(n, r):
+                out.append(RelationInstance(rel, text, lhs, rhs, params, self.domain))
+        return out
+
+    def run(self, n: int, r: int) -> list[CheckReport]:
+        return verify_all(n, r, iter(self.instances(n, r)))
 
 
 def _q1_to_q9(affine: bool, suffix: str) -> tuple[Row, ...]:
@@ -828,6 +886,16 @@ SUITES: dict[str, Suite] = {
 }
 SUITE_NAMES = tuple(SUITES)
 
+# The lemmas the paper proves beside the relations, checked by the same
+# engine; not a suite of the CLI.
+LEMMAS = Suite((
+    ("cancellation", "F_i^c E_i^c 1_lam = z 1_lam (lam_i = 0), E_i^c F_i^c 1_lam = z 1_lam "
+     "(lam_{i+1} = 0)", _cancellation),
+    ("en-factorization", _EN_TEXT, _en_factorization),
+    ("zeta-anchor", "1_omega zeta(w) = zeta(w)", _zeta_anchor),
+    ("k-from-projectors", "K_i^(+-1) = sum_lam v^(+-lam_i) 1_lam", _k_from_projectors),
+))
+
 
 # -- automorphisms -------------------------------------------------------------------
 
@@ -911,15 +979,6 @@ def cancellation(lam: Weight, i: int, c: int, direction: str) -> LaurentPoly:
     return fact * fact * gauss_binom(m, c)
 
 
-def cancellation_word(lam: Weight, i: int, c: int, direction: str) -> OperatorExpr:
-    """The operator word F_i^c E_i^c 1_lam (or E_i^c F_i^c 1_lam)."""
-    if direction == "FE":
-        syms = power(F(i), c) + power(E(i), c) + [P(lam)]
-    else:
-        syms = power(E(i), c) + power(F(i), c) + [P(lam)]
-    return _w(*syms)
-
-
 # -- distinguished monomials -------------------------------------------------------------
 
 
@@ -965,7 +1024,7 @@ def distinguished_analyze(word: Word) -> AnalyzeResult:
     carries an explicit projector; omitting interior projectors gives a
     reduction, which this routine re-completes (the inserted weights are
     forced by the anchor projector).  The nonzero verdict chains the term
-    thresholds; it agrees with operator evaluation on a window.
+    thresholds; a test compares it with operator evaluation.
     """
     syms = tuple(word)
     if not syms:
@@ -1216,81 +1275,56 @@ def m_word_conditions(lam: Weight, m: OperatorExpr) -> dict[str, bool]:
 # -- the E_n factorization ----------------------------------------------------------------
 
 
-@dataclass
-class ScalarFraction:
-    """An exact scalar num/den in the Laurent ring."""
-
-    num: LaurentPoly
-    den: LaurentPoly
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def render(self) -> str:
-        if self.den.is_one():
-            return self.num.render()
-        return f"({self.num.render()}) / ({self.den.render()})"
-
-    def simplified(self) -> "ScalarFraction":
-        try:
-            return ScalarFraction(self.num.exact_div(self.den), LaurentPoly.one())
-        except (ValueError, ZeroDivisionError):
-            return self
-
-
-@dataclass
-class FactorEnResult:
-    z: ScalarFraction
-    m: OperatorExpr
-    holds: bool
-    window: str
-
-
-def factor_En(n: int, r: int, lam: Weight) -> FactorEnResult:
-    """Factor E_n 1_lam = z * sigma(W) E_n M on the lambda weight space,
-    where M is the transport monomial and W its projector-stripped word.
+def en_factorization_sides(n: int, r: int, lam: Weight) -> tuple[
+        OperatorExpr, OperatorExpr, LaurentPoly, LaurentPoly]:
+    """The sides den E_n 1_lam and num sigma(W) E_n M of the E_n
+    factorization, and (num, den); M is the transport monomial and W its
+    projector-stripped word.
 
     The antiautomorphism is applied to the bare generator word (the
     projector-decorated form would be annihilated by the weight shift of
-    the middle E_n).  z is returned as an exact ratio and the identity is
-    verified by cross-multiplication on every window vector.
+    the middle E_n).  num and den are the coefficients of E_n 1_lam and of
+    sigma(W) E_n M at the smallest tensor in the image of the first basis
+    tensor of weight lam that the latter does not annihilate; (0, 1) when
+    it annihilates them all.
     """
     if lam.parts[0] <= 0:
         raise ValueError("requires lambda_1 > 0")
     if n <= r:
         raise ValueError("requires n > r")
-    m = build_M(lam)
-    ((m_word, m_coeff),) = m.terms.items()
-    bare = tuple(s for s in m_word if s.kind != "P")
-    sigma_bare = tuple(
-        Sym("F" if s.kind == "E" else "E", s.index) for s in reversed(bare)
-    )
-    rhs = OperatorExpr.word(sigma_bare + (E(n),) + m_word, m_coeff)
-    lhs = _w(E(n), P(lam))
-    vectors = weight_space_basis(n, lam, 1, n)
-    window = f"lambda weight space, indices in [1,{n}]"
-    num: LaurentPoly | None = None
-    den: LaurentPoly | None = None
-    pairs = []
-    for b in vectors:
-        lv = act_expr_basis(n, lhs, b)
-        rv = act_expr_basis(n, rhs, b)
-        pairs.append((lv, rv))
-        if num is None and rv:
-            key = sorted(rv)[0]
-            num = lv.get(key, LaurentPoly.zero())
-            den = rv[key]
-    if num is None or num.is_zero():
-        return FactorEnResult(ScalarFraction(LaurentPoly.zero(), LaurentPoly.one()), m, False, window)
-    holds = True
-    for lv, rv in pairs:
-        keys = set(lv) | set(rv)
-        for k in keys:
-            left = lv.get(k, LaurentPoly.zero()) * den
-            right = rv.get(k, LaurentPoly.zero()) * num
-            if left != right:
-                holds = False
-                break
-        if not holds:
+    ((m_word, m_coeff),) = build_M(lam).terms.items()
+    sigma_w = sigma_antiaut(OperatorExpr.word([s for s in m_word if s.kind != "P"]))
+    lhs, rhs = _w(E(n), P(lam)), sigma_w * OperatorExpr.word((E(n),) + m_word, m_coeff)
+    num, den = LaurentPoly.zero(), LaurentPoly.one()
+    for b in _weight_space(n, lam):
+        image = act_expr_basis(n, rhs, b)
+        if image:
+            key = min(image)
+            num, den = act_expr_basis(n, lhs, b).get(key, LaurentPoly.zero()), image[key]
             break
-    return FactorEnResult(ScalarFraction(num, den).simplified(), m, holds, window)
+    return lhs.scaled(den), rhs.scaled(num), num, den
+
+
+@dataclass
+class FactorEnResult:
+    z_num: LaurentPoly  # z = z_num / z_den, with z_den = 1 when the division is exact
+    z_den: LaurentPoly
+    holds: bool
+    window: str
+
+    def render_z(self) -> str:
+        z = self.z_num.render()
+        return z if self.z_den.is_one() else f"({z}) / ({self.z_den.render()})"
+
+
+def factor_En(n: int, r: int, lam: Weight) -> FactorEnResult:
+    """Factor E_n 1_lam = z sigma(W) E_n M (en_factorization_sides), checked as
+    den E_n 1_lam = num sigma(W) E_n M by verify_identity."""
+    lhs, rhs, num, den = en_factorization_sides(n, r, lam)
+    rep = verify_identity(n, r, RelationInstance("en-factorization", _EN_TEXT, lhs, rhs,
+                                                 {"lam": lam.render()}))
+    try:
+        num, den = num.exact_div(den), LaurentPoly.one()
+    except ValueError:
+        pass
+    return FactorEnResult(num, den, rep.passed, rep.window)

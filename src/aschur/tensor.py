@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .operators import E, F, OperatorExpr, R, Rinv, Sym, Word, chain
-from .ring import LaurentPoly
+from .ring import LaurentPoly, add_term
 from .weights import Weight, residue
 
 Basis = tuple[int, ...]
@@ -123,11 +123,7 @@ def act_symbol(n: int, sym: Sym, vec: Vector) -> Vector:
     out: Vector = {}
     for b, c in vec.items():
         for b2, c2 in _act_basis(n, sym, b):
-            s = out.get(b2, LaurentPoly.zero()) + c * c2
-            if s.is_zero():
-                out.pop(b2, None)
-            else:
-                out[b2] = s
+            add_term(out, b2, c * c2)
     return out
 
 
@@ -145,11 +141,7 @@ def act_expr(n: int, expr: OperatorExpr, vec: Vector) -> Vector:
     for word, coeff in expr.terms.items():
         part = act_word(n, word, vec)
         for b, c in part.items():
-            s = out.get(b, LaurentPoly.zero()) + c * coeff
-            if s.is_zero():
-                out.pop(b, None)
-            else:
-                out[b] = s
+            add_term(out, b, c * coeff)
     return out
 
 
@@ -160,11 +152,7 @@ def act_expr_basis(n: int, expr: OperatorExpr, b: Basis) -> Vector:
 def vec_sub(a: Vector, b: Vector) -> Vector:
     out = dict(a)
     for k, c in b.items():
-        s = out.get(k, LaurentPoly.zero()) - c
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
+        add_term(out, k, -c)
     return out
 
 

@@ -26,28 +26,25 @@ from aschur.latmat import (
 )
 from aschur.operators import E, F, OperatorExpr, P
 from aschur.present import (
+    LEMMAS,
+    RelationInstance,
     build_M,
     build_M1,
     build_M2,
     build_M3,
     cancellation,
-    cancellation_word,
     distinguished_analyze,
-    factor_En,
     m_word_conditions,
     nu_from_mu,
     projector,
     q15_instance,
     run_suite,
+    verify_all,
     verify_identity,
 )
 from aschur.ring import LaurentPoly
 from aschur.schur import hecke_embed
-from aschur.tensor import (
-    act_expr_basis,
-    weight_of,
-    weight_space_basis,
-)
+from aschur.tensor import act_expr_basis, weight_space_basis
 from aschur.weights import Weight, all_weights, omega
 from conftest import bfs_word_lengths
 
@@ -58,6 +55,10 @@ Q = LaurentPoly.q()
 def verdict(tag: str, ok: bool, detail: str):
     print(f"{tag}: {'PASS' if ok else 'FAIL'}  {detail}")
     assert ok, f"{tag} failed: {detail}"
+
+
+def lemma_instances(row, n, r):
+    return [inst for inst in LEMMAS.instances(n, r) if inst.name == row]
 
 
 def run_and_report(tag, suite_names, instances):
@@ -182,29 +183,22 @@ def test_a5_tau_zeta_structure():
 
 def test_a6_cancellation_principle():
     n, r = 4, 3
-    checked = 0
-    failures = []
+    reports = verify_all(n, r, lemma_instances("cancellation", n, r))
+    assert len(reports) == 240
+    failures = [rep.line() for rep in reports if not rep.passed]
     for lam in all_weights(n, r):
         for i in range(1, n + 1):
-            for c in (1, 2, 3):
-                for direction in ("FE", "EF"):
-                    try:
-                        z = cancellation(lam, i, c, direction)
-                    except ValueError:
-                        continue
-                    word = cancellation_word(lam, i, c, direction)
-                    expected = projector(lam).scaled(z)
-                    for b in weight_space_basis(n, lam, 1 - c, n + c):
-                        if act_expr_basis(n, word, b) != act_expr_basis(n, expected, b):
-                            failures.append((lam.parts, i, c, direction, b))
-                    checked += 1
-                    thr = lam.entry(i + 1) if direction == "FE" else lam.entry(i)
-                    if c == 1 and thr == 1 and z != ONE:
-                        failures.append(("unit-case", lam.parts, i, direction))
+            for direction, thr in (("FE", lam.entry(i + 1)), ("EF", lam.entry(i))):
+                try:
+                    z = cancellation(lam, i, 1, direction)
+                except ValueError:
+                    continue
+                if thr == 1 and z != ONE:
+                    failures.append(("unit-case", lam.parts, i, direction))
     verdict("A6", not failures,
-            f"closed form = operator evaluation for {checked} (lam, i, c) cases, "
-            "including every c = threshold = 1 unit case"
-            + (f"; first failure {failures[0]}" if failures else ""))
+            f"closed form = operator evaluation for {len(reports)} (lam, i, c, direction) "
+            "cases on complete weight-space domains, including every c = threshold = 1 "
+            "unit case" + (f"; first failure {failures[0]}" if failures else ""))
 
 
 @pytest.mark.slow
@@ -251,19 +245,13 @@ def test_a7_worked_example():
         res = distinguished_analyze(word)
         if not (res.is_distinguished and res.nonzero):
             failures.append((tag, "analyzer", res.reason))
+        # M lands in weight `left`: 1_left M = M, on the complete domain
         expr = OperatorExpr.word(word)
-        sandwiched = projector(left) * expr * projector(right)
-        nonzero = False
-        for b in weight_space_basis(n, right, 1, n):
-            img = act_expr_basis(n, expr, b)
-            if img:
-                nonzero = True
-                for bb in img:
-                    if weight_of(n, bb) != left:
-                        failures.append((tag, "weight", b, bb))
-            if img != act_expr_basis(n, sandwiched, b):
-                failures.append((tag, "sandwich", b))
-        if not nonzero:
+        rep = verify_identity(n, r, RelationInstance(tag, "1_left M = M",
+                                                     projector(left) * expr, expr))
+        if not rep.passed:
+            failures.append(rep.line())
+        if not any(act_expr_basis(n, expr, b) for b in weight_space_basis(n, right, 1, n)):
             failures.append((tag, "zero"))
     verdict("A7", not failures,
             "mu, nu and the explicit M1, M2, M3 words check out on the "
@@ -286,10 +274,12 @@ def test_a8_surjectivity_machinery():
         res = distinguished_analyze(word)
         if not (res.is_distinguished and res.nonzero):
             failures.append((lam.parts, "analyzer"))
-        fac = factor_En(n, r, lam)
-        if not fac.holds or fac.z.is_zero():
-            failures.append((lam.parts, "factorization"))
         checked += 1
+    # den E_n 1_lam = num sigma(W) E_n M with num != 0, i.e. z != 0
+    factorizations = lemma_instances("en-factorization", n, r)
+    assert len(factorizations) == checked
+    failures += [inst.params for inst in factorizations if inst.rhs.is_zero()]
+    failures += [rep.line() for rep in verify_all(n, r, factorizations) if not rep.passed]
     verdict("A8", not failures,
             f"transport monomial conditions and E_n factorization for all "
             f"{checked} weights with a positive first part, (n, r) = (4, 3)"

@@ -229,6 +229,11 @@ def test_dimensions_must_match_n_and_r(capsys):
         # x_lambda lives in the Hecke algebra of --r
         ("hecke", "xlambda", "--r", "3", "--lambda", "2,2,0"),
         ("hecke", "xlambda", "--r", "3"),
+        # --n and --r must be positive
+        ("verify", "--suite", "hecke-tau", "--n", "2", "--r", "0"),
+        ("verify", "--suite", "zeta", "--n", "3", "--r", "0"),
+        ("verify", "--suite", "schur-presentation", "--n", "2", "--r", "-1"),
+        ("tensor", "act", "--n", "0", "--word", "E1", "--vector", "1"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv

@@ -1,15 +1,17 @@
 import random
+from functools import partial
 from itertools import permutations, product
 
 import pytest
 
 from aschur.operators import E, F, K, OperatorExpr, P, R, Sym
 from aschur.present import (
+    LEMMAS,
     SUITE_NAMES,
+    SUITES,
     RelationInstance,
     build_M,
     cancellation,
-    cancellation_word,
     commute_projector,
     distinguished_analyze,
     factor_En,
@@ -71,20 +73,14 @@ def test_k_binomial_product_is_projector():
             assert eigenvalue == expected, (lam, mu)
 
 
-def test_k_reconstruction_from_projectors():
-    # K_i is recovered as the projector combination sum_lam v^(lam_i) 1_lam
-    from aschur.operators import K, Kinv
-    from aschur.ring import LaurentPoly
-
-    n, r = 3, 2
-    for i in range(1, n + 1):
-        for sign in (1, -1):
-            total = OperatorExpr.zero()
-            for lam in all_weights(n, r):
-                total = total + projector(lam).scaled(LaurentPoly.v(sign * lam.entry(i)))
-            kword = OperatorExpr.word([K(i) if sign == 1 else Kinv(i)])
-            for b in product(range(-1, n + 2), repeat=r):
-                assert act_expr_basis(n, total, b) == act_expr_basis(n, kword, b)
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 2), (4, 3), (5, 3)])
+def test_lemmas_hold(n, r):
+    # the cancellation principle, the E_n factorization, the omega anchor of
+    # the zeta elements and K_i^(+-1) from the projectors, each on a complete domain
+    reports = LEMMAS.run(n, r)
+    assert {rep.name for rep in reports} == {name for name, _, _ in LEMMAS.rows}
+    for rep in reports:
+        assert rep.passed and rep.window.endswith(f"; complete on V^(x){r}"), rep.line()
 
 
 @pytest.mark.slow
@@ -203,15 +199,6 @@ def test_commute_projector():
     assert commute_projector("E", 1, Weight((1, 0, 1))).is_zero()
     out = commute_projector("F", 1, lam)
     assert out == OperatorExpr.word([P(Weight((0, 2, 0))), F(1)])
-    # identity checked as operators on a window
-    n, r = 3, 2
-    for lamw in all_weights(n, r):
-        for i in range(1, n + 1):
-            for kind, sym in (("E", E(i)), ("F", F(i))):
-                lhs = OperatorExpr.word([sym, P(lamw)])
-                rhs = commute_projector(kind, i, lamw)
-                for b in product(range(-1, n + 2), repeat=r):
-                    assert act_expr_basis(n, lhs, b) == act_expr_basis(n, rhs, b)
 
 
 def test_cancellation_values():
@@ -228,22 +215,6 @@ def test_cancellation_values():
     assert cancellation(Weight((1, 0, 1)), 1, 1, "EF") == ONE
 
 
-def test_cancellation_matches_operator_evaluation():
-    n, r = 3, 2
-    for lam in all_weights(n, r):
-        for i in range(1, n + 1):
-            for c in (1, 2):
-                for direction in ("FE", "EF"):
-                    try:
-                        z = cancellation(lam, i, c, direction)
-                    except ValueError:
-                        continue
-                    word = cancellation_word(lam, i, c, direction)
-                    expected = projector(lam).scaled(z)
-                    for b in weight_space_basis(n, lam, 1 - c, n + c):
-                        assert act_expr_basis(n, word, b) == act_expr_basis(n, expected, b)
-
-
 def test_rotate_aut():
     n = 3
     x = OperatorExpr.word([E(3), P(Weight((1, 1, 0)))])
@@ -258,6 +229,34 @@ def test_rotate_aut():
         for _ in range(n):
             out = rotate_aut(n, out)
         assert out == expr
+
+
+def _image(inst: RelationInstance, aut) -> RelationInstance:
+    return RelationInstance(inst.name, inst.description, aut(inst.lhs), aut(inst.rhs),
+                            inst.params, inst.domain)
+
+
+def _has_r(inst: RelationInstance) -> bool:
+    return any(s.kind in ("R", "Rinv") for e in (inst.lhs, inst.rhs) for w in e.terms for s in w)
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 2)])
+def test_automorphism_images_hold(n, r):
+    # rotate_aut is conjugation by R and sigma_antiaut an antiautomorphism,
+    # so the image of every relation instance holds again; the image of a
+    # corrupted one still FAILs
+    rotate = partial(rotate_aut, n)
+    for name, spec in SUITES.items():
+        if spec.domain != "full":
+            continue
+        for inst in suite(name, n, r):
+            auts = (rotate,) if _has_r(inst) else (rotate, sigma_antiaut)
+            for aut in auts:
+                rep = verify_identity(n, r, _image(inst, aut))
+                assert rep.passed, (aut, rep.line())
+    bad = q15_instance(n, r, corrupt=True)
+    for aut in (rotate, sigma_antiaut):
+        assert not verify_identity(n, r, _image(bad, aut)).passed
 
 
 def test_sigma_antiaut():
@@ -357,17 +356,6 @@ def test_zeta_words_are_distinguished():
             assert res.is_distinguished and res.nonzero, (n, r, name)
 
 
-def test_zeta_right_anchor():
-    # 1_omega zeta(w) = zeta(w) as operators
-    n, r = 3, 2
-    om = omega(n, r)
-    for name in ("s1", "rho", "rho-inv", f"s{r}"):
-        z = zeta(n, r, name)
-        anchored = projector(om) * z
-        for b in product(range(-2, n + 3), repeat=r):
-            assert act_expr_basis(n, z, b) == act_expr_basis(n, anchored, b)
-
-
 def test_suite_names_and_instantiation():
     with pytest.raises(ValueError):
         suite("nonsense", 3, 2)
@@ -405,7 +393,7 @@ def test_factor_en_identity_case():
     n, r = 3, 2
     res = factor_En(n, r, omega(n, r))
     assert res.holds
-    assert res.z.num == ONE and res.z.den == ONE
+    assert res.z_num == ONE and res.z_den == ONE
 
 
 def test_mu_nu_helpers():

@@ -73,6 +73,22 @@ def test_k_binomial_product_is_projector():
             assert eigenvalue == expected, (lam, mu)
 
 
+def test_k_reconstruction_from_projectors():
+    # K_i is recovered as the projector combination sum_lam v^(lam_i) 1_lam,
+    # evaluated as operators on a window beyond the box [1, n]^r
+    from aschur.operators import Kinv
+
+    n, r = 3, 2
+    for i in range(1, n + 1):
+        for sign in (1, -1):
+            total = OperatorExpr.zero()
+            for lam in all_weights(n, r):
+                total = total + projector(lam).scaled(LaurentPoly.v(sign * lam.entry(i)))
+            kword = OperatorExpr.word([K(i) if sign == 1 else Kinv(i)])
+            for b in product(range(-1, n + 2), repeat=r):
+                assert act_expr_basis(n, total, b) == act_expr_basis(n, kword, b)
+
+
 @pytest.mark.parametrize("n,r", [(3, 2), (4, 2), (4, 3), (5, 3)])
 def test_lemmas_hold(n, r):
     # the cancellation principle, the E_n factorization, the omega anchor of
@@ -215,6 +231,25 @@ def test_cancellation_values():
     assert cancellation(Weight((1, 0, 1)), 1, 1, "EF") == ONE
 
 
+def test_cancellation_matches_operator_evaluation():
+    # the cancellation values, evaluated as operators on a window of the
+    # weight space that reaches past the box [1, n]^r
+    n, r = 3, 2
+    for lam in all_weights(n, r):
+        for i in range(1, n + 1):
+            for c in (1, 2):
+                for direction in ("FE", "EF"):
+                    try:
+                        z = cancellation(lam, i, c, direction)
+                    except ValueError:
+                        continue
+                    x, y = (F(i), E(i)) if direction == "FE" else (E(i), F(i))
+                    word = OperatorExpr.word([x] * c + [y] * c + [P(lam)])
+                    expected = projector(lam).scaled(z)
+                    for b in weight_space_basis(n, lam, 1 - c, n + c):
+                        assert act_expr_basis(n, word, b) == act_expr_basis(n, expected, b)
+
+
 def test_rotate_aut():
     n = 3
     x = OperatorExpr.word([E(3), P(Weight((1, 1, 0)))])
@@ -354,6 +389,17 @@ def test_zeta_words_are_distinguished():
             ((word, _),) = expr.terms.items()
             res = distinguished_analyze(word)
             assert res.is_distinguished and res.nonzero, (n, r, name)
+
+
+def test_zeta_right_anchor():
+    # 1_omega zeta(w) = zeta(w) as operators on a window past the box [1, n]^r
+    n, r = 3, 2
+    om = omega(n, r)
+    for name in ("s1", "rho", "rho-inv", f"s{r}"):
+        z = zeta(n, r, name)
+        anchored = projector(om) * z
+        for b in product(range(-2, n + 3), repeat=r):
+            assert act_expr_basis(n, z, b) == act_expr_basis(n, anchored, b)
 
 
 def test_suite_names_and_instantiation():

@@ -10,23 +10,43 @@ product folds the right factor generator by generator:
 and rho powers move through basis symbols by rotating generator indices,
 so T_u * T_rho^k = T_{u rho^k} exactly.
 
-For each basis element T_v of the right factor, v = rho^z s_{i_1} ...
+For each basis element T_v of the right factor, v = rho^k s_{i_1} ...
 s_{i_m}, the whole left factor is folded at once: it starts as
-{u rho^z : c_u c_v} and passes through the letters of the reduced word,
+{u rho^k : c_u c_v} and passes through the letters of the reduced word,
 and terms that meet at one element merge after every letter.  Folding
 each left basis element on its own repeats the work wherever their
 paths meet.
+
+No step of the fold moves the rho power, so the left factor is grouped
+by its rho power z once and each group is folded as a plain
+{window: coefficient} dict; an AffinePerm is built only for a term of
+the product.  For u = rho^z w, one pass over the window of w
+(`aweyl.right_step`) gives both the window of w s_i and the direction of
+the length.  With pos(x) = t - (w_t - x), the argument that w sends to x
+(w_t is the window value in slot t that is congruent to x mod r),
+
+    l(u s_i) > l(u)   exactly when   pos(i) < pos(i + 1).
+
+c q is an exponent shift of c, c (q - 1) is c q - c, and a right-factor
+coefficient 1 (every coefficient of a phi product's right factor) is
+not multiplied in.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .aweyl import AffinePerm, ParabolicIndex, enumerate_parabolic
+from .aweyl import (
+    AffinePerm,
+    ParabolicIndex,
+    _trusted,
+    enumerate_parabolic,
+    rho_conjugate,
+    right_step,
+)
 from .ring import Combination, LaurentPoly, add_term
 from .weights import Weight
 
-Q = LaurentPoly.q()
-QM1 = LaurentPoly.q() - 1
+Window = tuple[int, ...]
 
 
 class HeckeElement(Combination):
@@ -44,12 +64,24 @@ class HeckeElement(Combination):
 
     def __mul__(self, other: HeckeElement) -> HeckeElement:
         self._check_space(other)
-        out: dict[AffinePerm, LaurentPoly] = {}
+        left: dict[int, dict[Window, LaurentPoly]] = {}
+        for u, cu in self.terms.items():
+            left.setdefault(u.z, {})[u.window] = cu
+        out: dict[int, dict[Window, LaurentPoly]] = {}
         for v, cv in other.terms.items():
-            start = {u.mul_rho_right(v.z): cu * cv for u, cu in self.terms.items()}
-            for w, x in _fold(start, v.reduced_word()).items():
-                add_term(out, w, x)
-        return self._like(out)
+            word, k, unit = v.reduced_word(), v.z, cv.is_one()
+            for z, group in left.items():
+                if k:
+                    group = {rho_conjugate(w, k): c for w, c in group.items()}
+                if not unit:
+                    group = {w: c * cv for w, c in group.items()}
+                acc = out.setdefault(z + k, {})
+                for w, x in _fold(group, word).items():
+                    add_term(acc, w, x)
+        r = self.r
+        return self._like({
+            _trusted(r, z, w): c for z, acc in out.items() for w, c in acc.items()
+        })
 
     # -- rendering ----------------------------------------------------------------
 
@@ -78,20 +110,20 @@ def t_element(w: AffinePerm) -> HeckeElement:
     return HeckeElement(w.r, {w: LaurentPoly.one()})
 
 
-def _fold(
-    acc: dict[AffinePerm, LaurentPoly], word: tuple[int, ...]
-) -> dict[AffinePerm, LaurentPoly]:
+def _fold(acc: dict[Window, LaurentPoly], word: tuple[int, ...]) -> dict[Window, LaurentPoly]:
     """(sum of c T_x over acc) * T_{s_{i_1}} * ... * T_{s_{i_m}}, as
-    {w: coefficient}; acc itself is not changed."""
+    {window: coefficient}, all at one rho power; acc itself is not
+    changed (with an empty word it is returned as it is)."""
     for i in word:
-        nxt: dict[AffinePerm, LaurentPoly] = {}
+        nxt: dict[Window, LaurentPoly] = {}
         for x, c in acc.items():
-            xs = x.mul_gen_right(i)
-            if xs.length() > x.length():
+            xs, up = right_step(x, i)
+            if up:
                 add_term(nxt, xs, c)
             else:
-                add_term(nxt, xs, c * Q)
-                add_term(nxt, x, c * QM1)
+                cq = c.shifted(2)
+                add_term(nxt, xs, cq)
+                add_term(nxt, x, cq - c)
         acc = nxt
     return acc
 

@@ -517,11 +517,13 @@ def _young_elements(lam: Weight) -> list[AffinePerm]:
 def _q17(n: int, r: int) -> Iterator[Instance]:
     om, e = omega(n, r), AffinePerm.identity(r)
     weights = all_weights(n, r)
+    # Each phi^1_{omega,lam} and phi^1_{mu,omega} is built once, not once
+    # per pair: a SchurBasisIndex checks its d on construction.
+    left = {lam: SchurElement.basis(SchurBasisIndex(om, lam, e)) for lam in weights}
+    right = {mu: SchurElement.basis(SchurBasisIndex(mu, om, e)) for mu in weights}
     for lam in weights:
         for mu in weights:
-            lhs = SchurElement.basis(SchurBasisIndex(om, lam, e)) * SchurElement.basis(
-                SchurBasisIndex(mu, om, e)
-            )
+            lhs = left[lam] * right[mu]
             if lam == mu:
                 rhs = SchurElement(n, r, {
                     SchurBasisIndex(om, om, d): LaurentPoly.one()
@@ -536,12 +538,15 @@ def _q18_q19(n: int, r: int, *, left: bool) -> Iterator[Instance]:
     """phi^s phi^1_{omega,lam} = q phi^1_{omega,lam} (left), or its mirror
     phi^1_{lam,omega} phi^s = q phi^1_{lam,omega}."""
     om, e = omega(n, r), AffinePerm.identity(r)
+    phis = {
+        i: SchurElement.basis(SchurBasisIndex(om, om, AffinePerm.s(r, i)))
+        for i in range(1, r)
+    }
     for lam in all_weights(n, r):
         idx = SchurBasisIndex(om, lam, e) if left else SchurBasisIndex(lam, om, e)
         x = SchurElement.basis(idx)
         for i in sorted(young_parabolic(lam).gens):
-            phis = SchurElement.basis(SchurBasisIndex(om, om, AffinePerm.s(r, i)))
-            lhs = phis * x if left else x * phis
+            lhs = phis[i] * x if left else x * phis[i]
             yield {"lam": lam.render(), "i": i}, lhs, x.scaled(_Q)
 
 

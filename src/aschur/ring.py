@@ -138,6 +138,17 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
+    def shifted(self, k: int) -> LaurentPoly:
+        """self * v^k, as a shift of every exponent by k (so c * q is
+        ``c.shifted(2)``); the coefficients are kept as they are.
+
+        >>> (LaurentPoly.v() + 2).shifted(2)
+        LaurentPoly('v^3 + 2*v^2')
+        """
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._c = {e + k: x for e, x in self._c.items()}
+        return out
+
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
             if not self.is_monomial():

@@ -20,6 +20,7 @@ from functools import lru_cache
 
 from .aweyl import (
     AffinePerm,
+    _shared,
     double_coset_min,
     enumerate_double_coset,
     is_distinguished_right,
@@ -191,6 +192,9 @@ def expand_in_basis(lam: Weight, mu: Weight, value: HeckeElement) -> SchurElemen
     for d in sorted(rem, key=_perm_key):
         if d not in rem:
             continue  # removed with an earlier pivot's coset
+        # The coset cache and the index keep d alive: hold the copy that
+        # the cached cosets share, not a fresh one from each product.
+        d = _shared(d)
         try:
             idx = SchurBasisIndex(lam, mu, d)  # checks that d is coset-minimal
         except ValueError as exc:

@@ -12,8 +12,11 @@ from aschur.aweyl import (
     enumerate_double_coset,
     enumerate_parabolic,
     enumerate_up_to_length,
+    has_left_descent,
+    has_right_descent,
     is_distinguished_right,
     is_double_coset_min,
+    right_step,
     semidirect_decompose,
 )
 from conftest import bfs_word_lengths
@@ -99,6 +102,28 @@ def test_unchecked_one_sided_products_are_valid(u, k):
     assert checked(u.mul_rho_left(k)) == u.mul_rho_left(k) == rho * u
 
 
+def test_fused_step_and_descents_match_length_exhaustively():
+    # right_step's window and direction, and the two descent tests, against
+    # the general product and the length formula (itself checked against
+    # BFS word lengths), for every l(w) <= 5 at r = 2..6
+    cases = 0
+    for r in range(2, 7):
+        gens = [AffinePerm.s(r, i) for i in range(1, r + 1)]
+        for w in enumerate_up_to_length(r, 5):
+            for z in range(-2, 3):
+                u = w.mul_rho_left(z)
+                ell = u.length()
+                for i in range(1, r + 1):
+                    us = u * gens[i - 1]
+                    window, up = right_step(u.window, i)
+                    assert window == us.window == u.mul_gen_right(i).window, (u, i)
+                    assert up == (us.length() > ell), (u, i)
+                    assert has_right_descent(u, i) == (us.length() < ell), (u, i)
+                    assert has_left_descent(u, i) == (u.mul_gen_left(i).length() < ell), (u, i)
+                    cases += 1
+    assert cases > 20_000
+
+
 def test_public_constructors_reject_invalid_windows():
     for bad in ((1, 2), (1, 4, 3), (2, 1, 4)):
         with pytest.raises(ValueError):
@@ -113,6 +138,8 @@ def test_no_generator_at_r_1():
     # W is trivial at r = 1: the extended group is generated by rho alone
     with pytest.raises(ValueError, match="no generator s_i"):
         AffinePerm.s(1, 1)
+    with pytest.raises(ValueError, match="no generator s_i"):
+        AffinePerm.rho(1).mul_gen_right(1)
     assert AffinePerm.rho(1, 2).apply(1) == 3
 
 

@@ -1,9 +1,13 @@
 import itertools
 import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aschur.aweyl import AffinePerm, enumerate_up_to_length
-from aschur.hecke import t_element, x_lambda, young_parabolic
-from aschur.ring import LaurentPoly
+from aschur.hecke import HeckeElement, t_element, x_lambda, young_parabolic
+from aschur.ring import LaurentPoly, add_term
 from aschur.weights import Weight
 
 Q = LaurentPoly.q()
@@ -132,3 +136,62 @@ def test_specialization_at_one_is_group_algebra():
         spec = {w: c.specialize(1) for w, c in prod.terms.items()}
         spec = {w: c for w, c in spec.items() if c}
         assert spec == {u * v: 1}, (u.render(), v.render())
+
+
+def reference_product(a: HeckeElement, b: HeckeElement) -> HeckeElement:
+    """T_u T_v term by term, folding with mul_gen_right and the length
+    formula: the rule of the module docstring, with no window tricks."""
+    out: dict = {}
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            acc = {u.mul_rho_right(v.z): cu * cv}
+            for i in v.reduced_word():
+                nxt: dict = {}
+                for x, c in acc.items():
+                    xs = x.mul_gen_right(i)
+                    if xs.length() > x.length():
+                        add_term(nxt, xs, c)
+                    else:
+                        add_term(nxt, xs, c * Q)
+                        add_term(nxt, x, c * QM1)
+                acc = nxt
+            for w, c in acc.items():
+                add_term(out, w, c)
+    return HeckeElement(a.r, out)
+
+
+coeffs = st.one_of(
+    st.builds(LaurentPoly.v, st.integers(-3, 3), st.sampled_from([1, -1, 2, 3])),
+    st.builds(lambda e: LaurentPoly({e: Fraction(1, 2), 0: 1}), st.integers(-2, 2)),
+)
+
+
+@st.composite
+def hecke_elements(draw, r):
+    """1 to 3 terms, each rho^z times a word of up to 3 letters."""
+    terms: dict = {}
+    for _ in range(draw(st.integers(1, 3))):
+        w = AffinePerm.rho(r, draw(st.integers(-2, 2)))
+        for i in draw(st.lists(st.integers(1, r), max_size=3)):
+            w = w.mul_gen_right(i)
+        add_term(terms, w, draw(coeffs))
+    return HeckeElement(r, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_product_of_multi_term_elements(data):
+    # several terms, mixed rho powers, coefficients other than 1 (one of
+    # them with a Fraction): the grouped window fold must agree with the
+    # sum of single-term products and with the plain length-rule fold
+    r = data.draw(st.sampled_from([2, 3, 4]))
+    a, b, c = (data.draw(hecke_elements(r)) for _ in range(3))
+    ab = a * b
+    termwise = HeckeElement(r)
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            termwise = termwise + (t_element(u) * t_element(v)).scaled(cu * cv)
+    assert ab == termwise
+    assert ab == reference_product(a, b)
+    assert all(x for x in ab.terms.values())
+    assert ab * c == a * (b * c)

@@ -157,6 +157,20 @@ def test_integer_inputs_keep_int_coefficients(a, b, k, e, x):
     assert a.coeff(e) == dict(a.items()).get(e, 0) and type(a.coeff(e)) is int
 
 
+rational_laurents = st.dictionaries(
+    st.integers(-6, 6), st.fractions(max_denominator=4), max_size=4
+).map(LaurentPoly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(int_laurents, rational_laurents), st.integers(-5, 5))
+def test_shifted_is_a_product_by_a_power_of_v(a, k):
+    # the exponent shift the Hecke fold uses for c * q
+    assert a.shifted(k) == a * LaurentPoly.v(k)
+    assert a.shifted(k).shifted(-k) == a
+    assert _all_int(a.shifted(k)) == _all_int(a)
+
+
 def test_constructors_have_int_coefficients():
     for m in range(0, 7):
         assert _all_int(quantum_int(m)) and _all_int(quantum_fact(m))

@@ -17,6 +17,12 @@ Length ignores the rho part.  It is computed by the inversion formula
 which the test suite validates exhaustively against a breadth-first
 word-length oracle before anything downstream relies on it.
 
+A double coset W_pi1 * d * W_pi2 of finite parabolic subgroups is the
+disjoint union of the right cosets W_pi1 * b of its distinguished
+members b, those minimal in W_pi1 * b.  With d minimal they are the
+d y, y in W_pi2, with lengths adding, and they form a tree from d under
+length-raising steps b -> b s_i (`distinguished_members`).
+
 At r = 1 the group W is trivial and the extended group is generated by
 rho alone: there is no generator s_i.
 """
@@ -248,14 +254,21 @@ def _trusted(r: int, z: int, window: tuple[int, ...]) -> AffinePerm:
 
 def rho_conjugate(window: tuple[int, ...], k: int) -> tuple[int, ...]:
     """The window of rho^-k w rho^k, for w with this window: u * rho^k is
-    rho^(z+k) times that element."""
-    r = len(window)
-    win = []
+    rho^(z+k) times that element.  Slot t reads (t - k)w + k, one window
+    entry plus an offset, through the cached plan of `_rho_plan`."""
+    return tuple([window[i] + o for i, o in _rho_plan(len(window), k)])
+
+
+@lru_cache(maxsize=None)
+def _rho_plan(r: int, k: int) -> tuple[tuple[int, int], ...]:
+    """(slot, offset) per slot of rho^-k w rho^k: (t - k)w + k is
+    window[s0 - 1] + (t - k - s0) + k, with s0 the residue of t - k."""
+    plan = []
     for t in range(1, r + 1):
         s = t - k
         s0 = residue(s, r)
-        win.append(window[s0 - 1] + (s - s0) + k)
-    return tuple(win)
+        plan.append((s0 - 1, s - s0 + k))
+    return tuple(plan)
 
 
 def right_step(window: tuple[int, ...], i: int) -> tuple[tuple[int, ...], bool]:
@@ -404,23 +417,15 @@ def double_coset_min(w: AffinePerm, pi1: ParabolicIndex, pi2: ParabolicIndex) ->
 
 @lru_cache(maxsize=None)
 def enumerate_parabolic(pi: ParabolicIndex) -> frozenset[AffinePerm]:
-    """All elements of the (finite) parabolic subgroup W_pi (cached).
+    """All elements of the (finite) parabolic subgroup W_pi (cached): the
+    double coset W_() * 1 * W_pi, each of whose members is distinguished.
 
     >>> len(enumerate_parabolic(ParabolicIndex.make(3, [1])))
     2
     """
-    seen = {AffinePerm.identity(pi.r)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for i in pi.gens:
-                v = u.mul_gen_right(i)
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return frozenset(seen)
+    r = pi.r
+    trivial = ParabolicIndex(r, frozenset())
+    return frozenset(distinguished_members(trivial, AffinePerm.identity(r), pi))
 
 
 @lru_cache(maxsize=None)
@@ -429,24 +434,73 @@ def enumerate_double_coset(
 ) -> frozenset[AffinePerm]:
     """The finite set W_pi1 * d * W_pi2 (cached).
 
-    A breadth-first closure from d under s_i * (.) for i in pi1 and
-    (.) * s_i for i in pi2: the set is closed under both exactly when it
-    is the whole double coset, and each new member costs one cheap
-    one-sided product, not a general product per pair (a, b).
+    It is the disjoint union of the right cosets W_pi1 * b over its
+    distinguished members b (`distinguished_members`): each right coset
+    has exactly one member minimal in it.  For b = rho^z w, a * b is
+    rho^z (a' w) with a' = rho^-z a rho^z in W_(pi1 shifted by z), so each
+    member is one window read through a cached plan of `_left_plans`: no
+    neighbour products and no set lookups.
     """
-    seen = {d}
-    frontier = [d]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            near = [u.mul_gen_left(i) for i in pi1.gens]
-            near += [u.mul_gen_right(i) for i in pi2.gens]
-            for v in near:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return frozenset(map(_shared, seen))
+    r, z = d.r, d.z  # every member shares the rho power of d
+    plans = _left_plans(pi1, z % r)
+    members = []
+    for b in distinguished_members(pi1, d, pi2):
+        w = b.window
+        members += [_trusted(r, z, tuple([w[i] + o for i, o in plan])) for plan in plans]
+    return frozenset(map(_shared, members))
+
+
+@lru_cache(maxsize=None)
+def distinguished_members(
+    pi1: ParabolicIndex, d: AffinePerm, pi2: ParabolicIndex
+) -> tuple[AffinePerm, ...]:
+    """The members b of W_pi1 * d * W_pi2 that are minimal in W_pi1 * b
+    (cached), in order of length.
+
+    With d the minimal member (any d is first taken there), they are the
+    b = d y with y in W_pi2 minimal in (W_pi2 meet d^-1 W_pi1 d) y, and
+    l(b) = l(d) + l(y) (Deodhar).  Those y are closed under prefixes: if
+    y = y' s with l(y) = l(y') + 1, a left descent t of y' in that
+    parabolic would be one of y too, as t y = (t y') s.  So the
+    members form a tree from d, each b reaching b s_i (i in pi2) when the
+    length goes up and b s_i stays minimal in its right coset, and the
+    tree reaches every member.
+
+    >>> pi1, pi2 = ParabolicIndex.make(3, [1]), ParabolicIndex.make(3, [1, 2])
+    >>> [b.window for b in distinguished_members(pi1, AffinePerm.identity(3), pi2)]
+    [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
+    """
+    d = double_coset_min(d, pi1, pi2)
+    r, z = d.r, d.z
+    # s_i (rho^z w) = rho^z s_j w with j = i + z; it descends when
+    # (j)w > (j+1)w, as in `has_left_descent`.
+    left = [residue(i + z, r) for i in pi1.gens]
+    right = sorted(pi2.gens)
+    seen = {d.window}
+    tree = [d.window]
+    for win in tree:  # grows as it is read: breadth first, by length
+        for i in right:
+            nxt, up = right_step(win, i)
+            # A shorter neighbour that is minimal is a prefix member, seen
+            # already at the level below: the length test only saves work.
+            if up and nxt not in seen and not any(
+                nxt[j - 1] > (nxt[j] if j < r else nxt[0] + r) for j in left
+            ):
+                seen.add(nxt)
+                tree.append(nxt)
+    return tuple(_shared(_trusted(r, z, w)) for w in tree)
+
+
+@lru_cache(maxsize=None)
+def _left_plans(pi: ParabolicIndex, z: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """One (slot, offset) plan per element a of W_(pi shifted by z): slot t
+    of a w reads ((t)a)w, that is window[s] + (x - 1 - s) for x = (t)a
+    and s = (x - 1) mod r."""
+    r = pi.r
+    return tuple(
+        tuple(((x - 1) % r, x - 1 - (x - 1) % r) for x in a.window)
+        for a in enumerate_parabolic(pi.shifted(z))
+    )
 
 
 @lru_cache(maxsize=None)

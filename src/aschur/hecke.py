@@ -10,12 +10,21 @@ product folds the right factor generator by generator:
 and rho powers move through basis symbols by rotating generator indices,
 so T_u * T_rho^k = T_{u rho^k} exactly.
 
-For each basis element T_v of the right factor, v = rho^k s_{i_1} ...
-s_{i_m}, the whole left factor is folded at once: it starts as
-{u rho^k : c_u c_v} and passes through the letters of the reduced word,
-and terms that meet at one element merge after every letter.  Folding
-each left basis element on its own repeats the work wherever their
-paths meet.
+The right factor is folded along its descent tree.  Its terms are
+grouped by rho power k and taken in order of length.  When v s_j is a
+right descent of v (l(v s_j) = l(v) - 1) that is also in the support,
+
+    T_v = T_{v s_j} T_{s_j},
+
+so the product of the whole left factor with T_v is that of T_{v s_j}
+folded through one more letter.  A term with no such parent starts from
+the left factor conjugated, {u rho^k : c_u}, and passes through the
+letters of its reduced word, and terms that meet at one element merge
+after every letter.  The right coefficient c_v is multiplied in at the
+end, once per term.  The right factor of a phi product (the
+distinguished members of a double coset, a tree from its minimal
+member) holds a parent of every other term, so each of those costs one
+letter.
 
 No step of the fold moves the rho power, so the left factor is grouped
 by its rho power z once and each group is folded as a plain
@@ -67,17 +76,15 @@ class HeckeElement(Combination):
         left: dict[int, dict[Window, LaurentPoly]] = {}
         for u, cu in self.terms.items():
             left.setdefault(u.z, {})[u.window] = cu
+        right: dict[int, list[AffinePerm]] = {}
+        for v in other.terms:
+            right.setdefault(v.z, []).append(v)
         out: dict[int, dict[Window, LaurentPoly]] = {}
-        for v, cv in other.terms.items():
-            word, k, unit = v.reduced_word(), v.z, cv.is_one()
+        for k, vs in right.items():
+            plan, parents = _descent_tree(vs)
             for z, group in left.items():
-                if k:
-                    group = {rho_conjugate(w, k): c for w, c in group.items()}
-                if not unit:
-                    group = {w: c * cv for w, c in group.items()}
                 acc = out.setdefault(z + k, {})
-                for w, x in _fold(group, word).items():
-                    add_term(acc, w, x)
+                _fold_tree(group, k, plan, parents, other.terms, acc)
         r = self.r
         return self._like({
             _trusted(r, z, w): c for z, acc in out.items() for w, c in acc.items()
@@ -126,6 +133,72 @@ def _fold(acc: dict[Window, LaurentPoly], word: tuple[int, ...]) -> dict[Window,
                 add_term(nxt, x, cq - c)
         acc = nxt
     return acc
+
+
+def _descent_tree(vs: list[AffinePerm]) -> tuple[list[tuple], set[Window]]:
+    """The fold plan of right-factor terms that share one rho power: per
+    term v, in order of length, (v, length, parent window, letters); and
+    the windows of the terms that are some other term's parent.
+
+    The parent is a right descent v s_j in the support, and the letters
+    are (j,): the state of T_v is the parent's times T_{s_j}.  A term with
+    no parent in the support has parent None and its whole reduced word.
+    """
+    vs = sorted(vs, key=_perm_key)
+    support = {v.window for v in vs}
+    r = vs[0].r
+    plan = []
+    parents: set[Window] = set()
+    for v in vs:
+        length, parent, letters = v.length(), None, None
+        for j in range(1, r + 1) if length else ():
+            ws, up = right_step(v.window, j)
+            if not up and ws in support:
+                parent, letters = ws, (j,)
+                parents.add(ws)
+                break
+        plan.append((v, length, parent, letters or v.reduced_word()))
+    return plan, parents
+
+
+def _fold_tree(
+    group: dict[Window, LaurentPoly],
+    k: int,
+    plan: list[tuple],
+    parents: set[Window],
+    coeffs: dict[AffinePerm, LaurentPoly],
+    acc: dict[Window, LaurentPoly],
+) -> None:
+    """Add (sum of c T_u over rho^z group) * (sum of c_v T_v over the plan)
+    into acc, the {window: coefficient} dict of rho power z + k.
+
+    The state of a parent is held only until the next length level has
+    read it (a level after a gap in the lengths reads none).  The start,
+    the group conjugated by rho^k, is built only when a term with no
+    parent needs it.
+    """
+    start = None
+    held: dict[Window, dict[Window, LaurentPoly]] = {}
+    cur: dict[Window, dict[Window, LaurentPoly]] = {}
+    level = None
+    for v, length, parent, letters in plan:
+        if length != level:  # a parent is one letter shorter
+            held, cur, level = cur, {}, length
+        if parent is not None:
+            state = _fold(held[parent], letters)
+        else:
+            if start is None:
+                start = {rho_conjugate(w, k): c for w, c in group.items()} if k else group
+            state = _fold(start, letters)
+        if v.window in parents:
+            cur[v.window] = state
+        cv = coeffs[v]
+        if cv.is_one():
+            for w, x in state.items():
+                add_term(acc, w, x)
+        else:
+            for w, x in state.items():
+                add_term(acc, w, x * cv)
 
 
 @lru_cache(maxsize=None)

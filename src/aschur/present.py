@@ -521,8 +521,9 @@ def _q17(n: int, r: int) -> Iterator[Instance]:
     # per pair: a SchurBasisIndex checks its d on construction.
     left = {lam: SchurElement.basis(SchurBasisIndex(om, lam, e)) for lam in weights}
     right = {mu: SchurElement.basis(SchurBasisIndex(mu, om, e)) for mu in weights}
-    for lam in weights:
-        for mu in weights:
+    named = [(lam, lam.render()) for lam in weights]
+    for lam, lam_name in named:
+        for mu, mu_name in named:
             lhs = left[lam] * right[mu]
             if lam == mu:
                 rhs = SchurElement(n, r, {
@@ -531,7 +532,7 @@ def _q17(n: int, r: int) -> Iterator[Instance]:
                 })
             else:
                 rhs = SchurElement(n, r)
-            yield {"lam": lam.render(), "mu": mu.render()}, lhs, rhs
+            yield {"lam": lam_name, "mu": mu_name}, lhs, rhs
 
 
 def _q18_q19(n: int, r: int, *, left: bool) -> Iterator[Instance]:
@@ -544,10 +545,10 @@ def _q18_q19(n: int, r: int, *, left: bool) -> Iterator[Instance]:
     }
     for lam in all_weights(n, r):
         idx = SchurBasisIndex(om, lam, e) if left else SchurBasisIndex(lam, om, e)
-        x = SchurElement.basis(idx)
+        x, name = SchurElement.basis(idx), lam.render()
         for i in sorted(young_parabolic(lam).gens):
             lhs = phis[i] * x if left else x * phis[i]
-            yield {"lam": lam.render(), "i": i}, lhs, x.scaled(_Q)
+            yield {"lam": name, "i": i}, lhs, x.scaled(_Q)
 
 
 def _tau_quadratic(variant: str, n: int, r: int) -> Iterator[Instance]:

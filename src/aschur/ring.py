@@ -120,7 +120,17 @@ class LaurentPoly:
         return out
 
     def __sub__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
-        return self + (-_coerce(other))
+        other = _coerce(other)
+        c = dict(self._c)
+        for e, x in other._c.items():
+            y = c.get(e, 0) - x
+            if y:
+                c[e] = y if type(y) is int else _canon(y)
+            else:
+                del c[e]
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._c = c
+        return out
 
     def __rsub__(self, other: Scalar) -> LaurentPoly:
         return _coerce(other) - self

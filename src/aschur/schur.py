@@ -21,9 +21,9 @@ from functools import lru_cache
 from .aweyl import (
     AffinePerm,
     _shared,
+    distinguished_members,
     double_coset_min,
     enumerate_double_coset,
-    is_distinguished_right,
     is_double_coset_min,
 )
 from .hecke import HeckeElement, _perm_key, young_parabolic
@@ -56,6 +56,17 @@ class SchurBasisIndex:
         """Build with d replaced by the minimal representative of its coset."""
         dmin = double_coset_min(d, young_parabolic(lam), young_parabolic(mu))
         return cls(lam, mu, dmin)
+
+    @classmethod
+    def _trusted(cls, lam: Weight, mu: Weight, d: AffinePerm) -> SchurBasisIndex:
+        """The index for a d its caller has checked: the frozen fields are
+        set directly and __post_init__ is not run."""
+        idx = object.__new__(cls)
+        fields = idx.__dict__
+        fields["lam"] = lam
+        fields["mu"] = mu
+        fields["d"] = d
+        return idx
 
     def render(self) -> str:
         return f"phi[{self.lam.render()} | {self.d.render()} | {self.mu.render()}]"
@@ -108,8 +119,9 @@ class SchurElement(Combination):
                 if k1.mu != k2.lam:
                     continue
                 c = c1 * c2
+                unit = c.is_one()
                 for k, x in _mul_basis(k1, k2).terms.items():
-                    add_term(out, k, x * c)
+                    add_term(out, k, x if unit else x * c)
         return self._like(out)
 
     # -- rendering ----------------------------------------------------------------
@@ -150,17 +162,11 @@ def phi_value(idx: SchurBasisIndex) -> HeckeElement:
 
 def _right_generator(idx: SchurBasisIndex) -> HeckeElement:
     """h with phi^d_{lambda,mu}(x_mu) = x_lambda * h: the sum of T_b over
-    the distinguished (left-minimal) members of the double coset."""
-    return HeckeElement(idx.d.r, dict.fromkeys(_distinguished_members(idx), ONE))
-
-
-@lru_cache(maxsize=None)
-def _distinguished_members(idx: SchurBasisIndex) -> tuple[AffinePerm, ...]:
-    """The members b of S_lambda d S_mu that are minimal in S_lambda b
-    (cached: a basis element is a right factor of many products)."""
-    pi = young_parabolic(idx.lam)
-    coset = enumerate_double_coset(pi, idx.d, young_parabolic(idx.mu))
-    return tuple(b for b in coset if is_distinguished_right(b, pi))
+    the members b of S_lambda d S_mu that are minimal in S_lambda b
+    (cached by `aweyl.distinguished_members`: a basis element is a right
+    factor of many products)."""
+    pi1, pi2 = young_parabolic(idx.lam), young_parabolic(idx.mu)
+    return HeckeElement(idx.d.r, dict.fromkeys(distinguished_members(pi1, idx.d, pi2), ONE))
 
 
 def _mul_basis(k1: SchurBasisIndex, k2: SchurBasisIndex) -> SchurElement:
@@ -183,7 +189,8 @@ def expand_in_basis(lam: Weight, mu: Weight, value: HeckeElement) -> SchurElemen
     another coefficient raises BasisExpansionError, so the value is
     accepted exactly when it is a combination of coset sums.
     """
-    # Checked here, so that SchurBasisIndex below can only reject d.
+    # Checked here and each pivot d below, so that the index needs no
+    # check of its own.
     if lam.n != mu.n or lam.r != mu.r or value.r != lam.r:
         raise ValueError("weights and value must share (n, r)")
     pil, pim = young_parabolic(lam), young_parabolic(mu)
@@ -195,21 +202,20 @@ def expand_in_basis(lam: Weight, mu: Weight, value: HeckeElement) -> SchurElemen
         # The coset cache and the index keep d alive: hold the copy that
         # the cached cosets share, not a fresh one from each product.
         d = _shared(d)
-        try:
-            idx = SchurBasisIndex(lam, mu, d)  # checks that d is coset-minimal
-        except ValueError as exc:
+        if not is_double_coset_min(d, pil, pim):
             raise BasisExpansionError(
                 f"minimal support element {d.render()} is not coset-minimal"
-            ) from exc
+            )
         c = rem[d]
+        coeffs = c._c  # compared as dicts: LaurentPoly equality less its type checks
         for w in enumerate_double_coset(pil, d, pim):
             x = rem.pop(w, None)
-            if x != c:
+            if x is None or x._c != coeffs:
                 raise BasisExpansionError(
                     f"coset of {d.render()}: {w.render()} has coefficient "
                     f"{'none' if x is None else x.render()}, not {c.render()}"
                 )
-        out[idx] = c
+        out[SchurBasisIndex._trusted(lam, mu, d)] = c
     return SchurElement(lam.n, lam.r, out)
 
 

@@ -8,6 +8,7 @@ from aschur.aweyl import (
     AffinePerm,
     ParabolicIndex,
     coset_decompose,
+    distinguished_members,
     double_coset_min,
     enumerate_double_coset,
     enumerate_parabolic,
@@ -307,6 +308,27 @@ def test_cached_double_coset_matches_products(r):
         assert enumerate_double_coset(pi1, d, pi2) is coset  # served from the cache
         # cosets share their members: one object per element
         assert all(members.setdefault(w, w) is w for w in coset)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_distinguished_members_match_definition(r):
+    # the tree from d against the definition: the members of the a*d*b
+    # coset that are minimal in their right coset W_pi1 * b
+    for pi1, d, pi2 in _coset_cases(r):
+        coset = _product_coset(pi1, d, pi2)
+        members = distinguished_members(pi1, d, pi2)
+        expected = {b for b in coset if is_distinguished_right(b, pi1)}
+        assert len(members) == len(set(members)) and set(members) == expected, (pi1, d, pi2)
+        assert members[0] == d
+        assert [b.length() for b in members] == sorted(b.length() for b in members)
+        # any member names the same double coset
+        top = max(coset, key=lambda w: (w.length(), w.window))
+        assert distinguished_members(pi1, top, pi2) == members
+        # the orbits W_pi1 * b are disjoint: the enumeration builds
+        # |W_pi1| members per orbit, and none of them twice
+        assert len(members) * len(enumerate_parabolic(pi1)) == len(
+            enumerate_double_coset(pi1, d, pi2)
+        )
 
 
 def test_enumerate_parabolic():

@@ -168,8 +168,24 @@ coeffs = st.one_of(
 
 @st.composite
 def hecke_elements(draw, r):
-    """1 to 3 terms, each rho^z times a word of up to 3 letters."""
+    """1 to 3 terms, each rho^z times a word of up to 3 letters; or, half
+    the time, descent chains: at one or two rho powers, some prefixes of
+    a word of up to 5 letters, so that a term's parent (the prefix one
+    letter shorter) is present, absent, or two letters below, as the
+    descent-tree fold meets them in a phi product's right factor."""
     terms: dict = {}
+    if draw(st.booleans()):
+        for z in draw(st.lists(st.integers(-1, 1), min_size=1, max_size=2, unique=True)):
+            w = AffinePerm.rho(r, z)
+            prefixes = [w]
+            for i in draw(st.lists(st.integers(1, r), max_size=5)):
+                w = w.mul_gen_right(i)
+                prefixes.append(w)
+            for w in prefixes:
+                if draw(st.booleans()):
+                    add_term(terms, w, draw(st.one_of(st.just(LaurentPoly.one()), coeffs)))
+        if terms:
+            return HeckeElement(r, terms)
     for _ in range(draw(st.integers(1, 3))):
         w = AffinePerm.rho(r, draw(st.integers(-2, 2)))
         for i in draw(st.lists(st.integers(1, r), max_size=3)):
@@ -178,12 +194,13 @@ def hecke_elements(draw, r):
     return HeckeElement(r, terms)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_product_of_multi_term_elements(data):
     # several terms, mixed rho powers, coefficients other than 1 (one of
-    # them with a Fraction): the grouped window fold must agree with the
-    # sum of single-term products and with the plain length-rule fold
+    # them with a Fraction), descent chains in the right factor: the
+    # descent-tree window fold must agree with the sum of single-term
+    # products and with the plain length-rule fold
     r = data.draw(st.sampled_from([2, 3, 4]))
     a, b, c = (data.draw(hecke_elements(r)) for _ in range(3))
     ab = a * b
@@ -195,3 +212,18 @@ def test_product_of_multi_term_elements(data):
     assert ab == reference_product(a, b)
     assert all(x for x in ab.terms.values())
     assert ab * c == a * (b * c)
+
+
+def test_descent_tree_fold_on_whole_length_balls():
+    # right factors whose every term of positive length has its parents in
+    # the support (all of W up to length 2 at two rho powers), and the same
+    # with length 1 removed, so that the length-2 terms fold from the start
+    r = 3
+    ball = enumerate_up_to_length(r, 2)
+    left = x_lambda(Weight((2, 1, 0))) + T(AffinePerm.rho(r, -1)).scaled(Q)
+    full = {w.mul_rho_left(z): LaurentPoly.v(ell, ell + 1)
+            for w, ell in ball.items() for z in (0, 1)}
+    gapped = {w: c for w, c in full.items() if w.length() != 1}
+    for terms in (full, gapped):
+        right = HeckeElement(r, terms)
+        assert left * right == reference_product(left, right)

@@ -171,6 +171,30 @@ def test_shifted_is_a_product_by_a_power_of_v(a, k):
     assert _all_int(a.shifted(k)) == _all_int(a)
 
 
+def _canonical(p: LaurentPoly) -> bool:
+    """No zero stored, and every coefficient an int or a Fraction that is
+    not integral."""
+    return all(
+        x and (type(x) is int or (type(x) is Fraction and x.denominator != 1))
+        for _, x in p.items()
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(int_laurents, rational_laurents), st.one_of(int_laurents, rational_laurents))
+def test_difference_is_the_sum_with_the_negation(a, b):
+    # __sub__ works in one pass; it must agree with the sum a + (-b), keep
+    # int coefficients int and leave rational ones canonical (1/2 - 1/2 is
+    # dropped, 1/2 + 1/2 becomes the int 1)
+    diff = a - b
+    assert diff == a + (-b) and hash(diff) == hash(a + (-b))
+    assert _canonical(diff), diff
+    if _all_int(a) and _all_int(b):
+        assert _all_int(diff)
+    assert (a - a).is_zero() and a - 0 == a and 0 - a == -a
+    assert a - 3 == a + (-3) and 3 - a == -(a - 3)
+
+
 def test_constructors_have_int_coefficients():
     for m in range(0, 7):
         assert _all_int(quantum_int(m)) and _all_int(quantum_fact(m))

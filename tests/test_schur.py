@@ -213,6 +213,33 @@ def test_generator_product_at_r_6():
     assert left * right == SchurElement.basis(SchurBasisIndex(top, top, e)).scaled(qint)
 
 
+def test_generator_product_at_r_7():
+    # the same product at r = 7: [7]_q phi_{(7),(7)}, with a left factor of
+    # 5,040 terms; the descent-tree fold and the orbit enumeration keep it
+    # near half a second
+    r = 7
+    top, hook = Weight((r, 0, 0)), Weight((r - 1, 1, 0))
+    e = AffinePerm.identity(r)
+    left = SchurElement.basis(SchurBasisIndex(top, hook, e))
+    right = SchurElement.basis(SchurBasisIndex(hook, top, e))
+    qint = sum((LaurentPoly.q(k) for k in range(r)), LaurentPoly.zero())
+    assert left * right == SchurElement.basis(SchurBasisIndex(top, top, e)).scaled(qint)
+
+
+def test_expansion_indices_equal_checked_ones():
+    # expand_in_basis builds its indices without the constructor's check;
+    # each must equal, and hash like, the index the checking constructor
+    # makes, so that sums and comparisons with other elements work
+    lam, mu = Weight((2, 1, 0)), Weight((1, 1, 1))
+    for w in enumerate_up_to_length(3, 3):
+        idx = SchurBasisIndex.make(lam, mu, w.mul_rho_left(1))
+        (built,) = expand_in_basis(lam, mu, phi_value(idx)).terms
+        checked = SchurBasisIndex(lam, mu, idx.d)
+        assert built == checked and hash(built) == hash(checked)
+        assert built.render() == checked.render()
+        assert SchurElement.basis(built) - SchurElement.basis(checked) == SchurElement(3, 3)
+
+
 def test_phi_value_matches_x_lambda_action():
     # phi^1_{lam,mu}(x_mu) agrees with x_lam * h for its right generator
     om = omega(3, 2)

@@ -332,15 +332,26 @@ def _window_reduced(window: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def has_left_descent(u: AffinePerm, i: int) -> bool:
-    """l(s_i u) < l(u), read off two window entries.
+    """l(s_i u) < l(u), read off two window entries (`descends_left`)."""
+    return descends_left(u.window, (residue(i + u.z, u.r),))
 
-    s_i u = rho^z s_j w with j = i + z mod r, and s_j w swaps the arguments
-    j and j + 1 of w, so the length goes down exactly when (j)w > (j+1)w
-    (with (r+1)w = (1)w + r).
-    """
-    r, win = u.r, u.window
-    j = residue(i + u.z, r)
-    return win[j - 1] > (win[j] if j < r else win[0] + r)
+
+@lru_cache(maxsize=None)
+def left_slots(gens: frozenset[int], z: int, r: int) -> tuple[int, ...]:
+    """The window slots j = i + z mod r that the generators s_i (i in gens)
+    test on an element rho^z w: s_i rho^z w = rho^z s_j w (cached)."""
+    return tuple(sorted(residue(i + z, r) for i in gens))
+
+
+def descends_left(window: tuple[int, ...], slots: tuple[int, ...]) -> bool:
+    """Whether some s_j, j in slots, is a left descent of the w with this
+    window.  s_j w swaps the arguments j and j + 1 of w, so the length goes
+    down exactly when (j)w > (j+1)w (with (r+1)w = (1)w + r)."""
+    r = len(window)
+    for j in slots:
+        if window[j - 1] > (window[j] if j < r else window[0] + r):
+            return True
+    return False
 
 
 def has_right_descent(u: AffinePerm, i: int) -> bool:
@@ -350,7 +361,7 @@ def has_right_descent(u: AffinePerm, i: int) -> bool:
 
 def is_distinguished_right(d: AffinePerm, pi: ParabolicIndex) -> bool:
     """d minimal in its right coset W_pi d: no s in pi descends on the left."""
-    return not any(has_left_descent(d, i) for i in pi.gens)
+    return not descends_left(d.window, left_slots(pi.gens, d.z, d.r))
 
 
 def is_distinguished_left(d: AffinePerm, pi: ParabolicIndex) -> bool:
@@ -472,9 +483,7 @@ def distinguished_members(
     """
     d = double_coset_min(d, pi1, pi2)
     r, z = d.r, d.z
-    # s_i (rho^z w) = rho^z s_j w with j = i + z; it descends when
-    # (j)w > (j+1)w, as in `has_left_descent`.
-    left = [residue(i + z, r) for i in pi1.gens]
+    left = left_slots(pi1.gens, z, r)
     right = sorted(pi2.gens)
     seen = {d.window}
     tree = [d.window]
@@ -483,9 +492,7 @@ def distinguished_members(
             nxt, up = right_step(win, i)
             # A shorter neighbour that is minimal is a prefix member, seen
             # already at the level below: the length test only saves work.
-            if up and nxt not in seen and not any(
-                nxt[j - 1] > (nxt[j] if j < r else nxt[0] + r) for j in left
-            ):
+            if up and nxt not in seen and not descends_left(nxt, left):
                 seen.add(nxt)
                 tree.append(nxt)
     return tuple(_shared(_trusted(r, z, w)) for w in tree)

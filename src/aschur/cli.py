@@ -2,7 +2,8 @@
 
 Subcommands: weyl, hecke, schur, tensor, verify (a relation suite of
 aschur.present at --n and --r), monomial and matrix.  Exit status: 0 on
-success (all checks pass), 1 on verification failure, 2 on usage errors.
+success (all checks pass), 1 on verification failure, 2 on usage errors,
+3 on an internal error (any other exception, reported in one line).
 Structured output is line-delimited JSON records, each carrying a
 "schema" field.
 """
@@ -413,6 +414,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of aschur itself, such as a failed expansion
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

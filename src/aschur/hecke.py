@@ -39,6 +39,23 @@ the length.  With pos(x) = t - (w_t - x), the argument that w sends to x
 c q is an exponent shift of c, c (q - 1) is c q - c, and a right-factor
 coefficient 1 (every coefficient of a phi product's right factor) is
 not multiplied in.
+
+The same fold runs in the right module x_pi H of a finite parabolic
+W_pi, x_pi the sum of its T_w (`fold_product` with the generators of
+pi).  Its basis is x_pi T_b over the b in D_pi, those minimal in their
+right coset W_pi b, and T_{s_i} acts on it in three cases (Deodhar):
+
+    x_pi T_b T_{s_i} = x_pi T_{b s_i}                    if l(b s_i) > l(b), b s_i in D_pi,
+                     = q x_pi T_{b s_i} + (q - 1) x_pi T_b  if l(b s_i) < l(b),
+                     = q x_pi T_b                         if l(b s_i) > l(b), b s_i not in D_pi.
+
+In the third case b s_i = s b for a generator s of W_pi, and
+x_pi T_s = q x_pi.  In the second, b s_i stays in D_pi, because D_pi is
+closed under prefixes: a left descent t in W_pi of b s_i would be one of
+b, as l(t b) <= l(t b s_i) + 1 < l(b).  Membership is the left-descent
+test of `aweyl.descends_left`, on the generators of pi shifted by the
+rho power (`aweyl.left_slots`).  With pi empty, x_pi is 1, every b is in
+D_pi and the fold is the product of H.
 """
 from __future__ import annotations
 
@@ -48,7 +65,9 @@ from .aweyl import (
     AffinePerm,
     ParabolicIndex,
     _trusted,
+    descends_left,
     enumerate_parabolic,
+    left_slots,
     rho_conjugate,
     right_step,
 )
@@ -73,22 +92,7 @@ class HeckeElement(Combination):
 
     def __mul__(self, other: HeckeElement) -> HeckeElement:
         self._check_space(other)
-        left: dict[int, dict[Window, LaurentPoly]] = {}
-        for u, cu in self.terms.items():
-            left.setdefault(u.z, {})[u.window] = cu
-        right: dict[int, list[AffinePerm]] = {}
-        for v in other.terms:
-            right.setdefault(v.z, []).append(v)
-        out: dict[int, dict[Window, LaurentPoly]] = {}
-        for k, vs in right.items():
-            plan, parents = _descent_tree(vs)
-            for z, group in left.items():
-                acc = out.setdefault(z + k, {})
-                _fold_tree(group, k, plan, parents, other.terms, acc)
-        r = self.r
-        return self._like({
-            _trusted(r, z, w): c for z, acc in out.items() for w, c in acc.items()
-        })
+        return fold_product(self, descent_plans(other))
 
     # -- rendering ----------------------------------------------------------------
 
@@ -117,39 +121,61 @@ def t_element(w: AffinePerm) -> HeckeElement:
     return HeckeElement(w.r, {w: LaurentPoly.one()})
 
 
-def _fold(acc: dict[Window, LaurentPoly], word: tuple[int, ...]) -> dict[Window, LaurentPoly]:
+def _fold(
+    acc: dict[Window, LaurentPoly], word: tuple[int, ...], left: tuple[int, ...]
+) -> dict[Window, LaurentPoly]:
     """(sum of c T_x over acc) * T_{s_{i_1}} * ... * T_{s_{i_m}}, as
     {window: coefficient}, all at one rho power; acc itself is not
-    changed (with an empty word it is returned as it is)."""
+    changed (with an empty word it is returned as it is).
+
+    With left not empty, the slots that the generators of a parabolic
+    W_pi test at this rho power (`aweyl.left_slots`), acc holds the
+    coefficients of x_pi T_x over x in D_pi instead, and a step to an
+    x s_i outside D_pi gives q x_pi T_x (Deodhar's third case).
+    """
     for i in word:
         nxt: dict[Window, LaurentPoly] = {}
         for x, c in acc.items():
             xs, up = right_step(x, i)
-            if up:
-                add_term(nxt, xs, c)
-            else:
+            if not up:
                 cq = c.shifted(2)
                 add_term(nxt, xs, cq)
                 add_term(nxt, x, cq - c)
+            elif left and descends_left(xs, left):
+                add_term(nxt, x, c.shifted(2))
+            else:
+                add_term(nxt, xs, c)
         acc = nxt
     return acc
 
 
-def _descent_tree(vs: list[AffinePerm]) -> tuple[list[tuple], set[Window]]:
+Plans = list[tuple[int, list[tuple], set[Window]]]
+
+
+def descent_plans(h: HeckeElement) -> Plans:
+    """How to fold h as a right factor: per rho power k of its terms,
+    (k, plan, parents) as `_descent_tree` gives them."""
+    groups: dict[int, dict[AffinePerm, LaurentPoly]] = {}
+    for v, cv in h.terms.items():
+        groups.setdefault(v.z, {})[v] = cv
+    return [(k, *_descent_tree(vs)) for k, vs in groups.items()]
+
+
+def _descent_tree(vs: dict[AffinePerm, LaurentPoly]) -> tuple[list[tuple], set[Window]]:
     """The fold plan of right-factor terms that share one rho power: per
-    term v, in order of length, (v, length, parent window, letters); and
-    the windows of the terms that are some other term's parent.
+    term v, in order of length, (window, length, parent window, letters,
+    coefficient); and the windows of the terms that are some other term's
+    parent.
 
     The parent is a right descent v s_j in the support, and the letters
     are (j,): the state of T_v is the parent's times T_{s_j}.  A term with
     no parent in the support has parent None and its whole reduced word.
     """
-    vs = sorted(vs, key=_perm_key)
     support = {v.window for v in vs}
-    r = vs[0].r
+    r = next(iter(vs)).r
     plan = []
     parents: set[Window] = set()
-    for v in vs:
+    for v in sorted(vs, key=_perm_key):
         length, parent, letters = v.length(), None, None
         for j in range(1, r + 1) if length else ():
             ws, up = right_step(v.window, j)
@@ -157,8 +183,30 @@ def _descent_tree(vs: list[AffinePerm]) -> tuple[list[tuple], set[Window]]:
                 parent, letters = ws, (j,)
                 parents.add(ws)
                 break
-        plan.append((v, length, parent, letters or v.reduced_word()))
+        plan.append((v.window, length, parent, letters or v.reduced_word(), vs[v]))
     return plan, parents
+
+
+def fold_product(h: HeckeElement, plans: Plans, gens: frozenset[int] = frozenset()) -> HeckeElement:
+    """h times the right factor that `descent_plans` planned.
+
+    With gens, the generator indices of a parabolic W_pi, and h supported
+    on D_pi, it is x_pi h times that factor in the right module x_pi H,
+    given by its coefficients on the basis x_pi T_b (b in D_pi).  With
+    gens empty, x_pi is 1 and it is the product in H.
+    """
+    left: dict[int, dict[Window, LaurentPoly]] = {}
+    for u, cu in h.terms.items():
+        left.setdefault(u.z, {})[u.window] = cu
+    r = h.r
+    out: dict[int, dict[Window, LaurentPoly]] = {}
+    for k, plan, parents in plans:
+        for z, group in left.items():
+            acc = out.setdefault(z + k, {})
+            _fold_tree(group, k, plan, parents, acc, left_slots(gens, z + k, r))
+    return h._like({
+        _trusted(r, z, w): c for z, acc in out.items() for w, c in acc.items()
+    })
 
 
 def _fold_tree(
@@ -166,33 +214,34 @@ def _fold_tree(
     k: int,
     plan: list[tuple],
     parents: set[Window],
-    coeffs: dict[AffinePerm, LaurentPoly],
     acc: dict[Window, LaurentPoly],
+    left: tuple[int, ...],
 ) -> None:
     """Add (sum of c T_u over rho^z group) * (sum of c_v T_v over the plan)
-    into acc, the {window: coefficient} dict of rho power z + k.
+    into acc, the {window: coefficient} dict of rho power z + k (with
+    left, each T_u stands for x_pi T_u, as in `_fold`).
 
     The state of a parent is held only until the next length level has
     read it (a level after a gap in the lengths reads none).  The start,
     the group conjugated by rho^k, is built only when a term with no
-    parent needs it.
+    parent needs it.  T_u rho^k is T_{u rho^k}, and u rho^k is minimal in
+    its right W_pi-coset when u is, so the start stays in D_pi.
     """
     start = None
     held: dict[Window, dict[Window, LaurentPoly]] = {}
     cur: dict[Window, dict[Window, LaurentPoly]] = {}
     level = None
-    for v, length, parent, letters in plan:
+    for v, length, parent, letters, cv in plan:
         if length != level:  # a parent is one letter shorter
             held, cur, level = cur, {}, length
         if parent is not None:
-            state = _fold(held[parent], letters)
+            state = _fold(held[parent], letters, left)
         else:
             if start is None:
                 start = {rho_conjugate(w, k): c for w, c in group.items()} if k else group
-            state = _fold(start, letters)
-        if v.window in parents:
-            cur[v.window] = state
-        cv = coeffs[v]
+            state = _fold(start, letters, left)
+        if v in parents:
+            cur[v] = state
         if cv.is_one():
             for w, x in state.items():
                 add_term(acc, w, x)

@@ -5,13 +5,23 @@ minimal-length double coset representative d.  The defining data is the
 Hecke element
 
     phi^d_{lambda,mu}(x_mu) = sum of T_w over the double coset
-                              S_lambda * d * S_mu,
+                              S_lambda * d * S_mu
+                            = x_lambda * h,
 
-and products are computed by evaluating on x, multiplying in the Hecke
-algebra, and greedily re-expanding double-coset sums.  The expansion reads
-each coefficient off the minimal element of its double coset and removes
-the whole coset at once; a value that is not a combination of coset sums
-is an internal error and raises.
+with h, the right generator, the sum of T_b over the distinguished
+members b of the coset (those minimal in S_lambda b; `aweyl`).  So
+phi_A phi_B (x_nu) = x_lambda h_A h_B lies in the right module
+x_lambda H, whose basis is x_lambda T_b over the b in D_lambda, and a
+product is computed there: x_lambda T_b for the members of h_A, folded
+through h_B by Deodhar's three cases (`hecke.fold_product`), a state
+|S_lambda| times smaller than the coset sum.  The value is re-expanded on
+distinguished members: phi^d contributes its coefficient to each
+distinguished member of its coset and to nothing else.  The expansion
+reads each coefficient off the minimal member of its double coset and
+removes all its members at once; a value that is not such a combination
+is an internal error and raises.  `phi_value`, the Hecke product and the
+expansion on whole cosets stay as the independent route that the tests
+compare with.
 """
 from __future__ import annotations
 
@@ -20,13 +30,21 @@ from functools import lru_cache
 
 from .aweyl import (
     AffinePerm,
+    ParabolicIndex,
     _shared,
     distinguished_members,
     double_coset_min,
     enumerate_double_coset,
     is_double_coset_min,
 )
-from .hecke import HeckeElement, _perm_key, young_parabolic
+from .hecke import (
+    HeckeElement,
+    Plans,
+    _perm_key,
+    descent_plans,
+    fold_product,
+    young_parabolic,
+)
 from .ring import ONE, Combination, LaurentPoly, add_term
 from .weights import Weight, all_weights, omega
 
@@ -163,19 +181,35 @@ def phi_value(idx: SchurBasisIndex) -> HeckeElement:
 def _right_generator(idx: SchurBasisIndex) -> HeckeElement:
     """h with phi^d_{lambda,mu}(x_mu) = x_lambda * h: the sum of T_b over
     the members b of S_lambda d S_mu that are minimal in S_lambda b
-    (cached by `aweyl.distinguished_members`: a basis element is a right
+    (cached by `aweyl.distinguished_members`: a basis element is a
     factor of many products)."""
     pi1, pi2 = young_parabolic(idx.lam), young_parabolic(idx.mu)
     return HeckeElement(idx.d.r, dict.fromkeys(distinguished_members(pi1, idx.d, pi2), ONE))
 
 
+@lru_cache(maxsize=None)
+def _generator_plans(pi1: ParabolicIndex, d: AffinePerm, pi2: ParabolicIndex) -> Plans:
+    """The fold plan of the right generator of W_pi1 d W_pi2, keyed like
+    `aweyl.distinguished_members` (cached: many basis elements share one
+    right generator, and each is the right factor of many products)."""
+    return descent_plans(HeckeElement(d.r, dict.fromkeys(distinguished_members(pi1, d, pi2), ONE)))
+
+
 def _mul_basis(k1: SchurBasisIndex, k2: SchurBasisIndex) -> SchurElement:
-    """Expand phi_{k1} . phi_{k2} in the phi basis (middle weights match)."""
-    value = phi_value(k1) * _right_generator(k2)
-    return expand_in_basis(k1.lam, k2.mu, value)
+    """Expand phi_{k1} . phi_{k2} in the phi basis (middle weights match).
+
+    Its value on x_nu is x_lambda h_1 h_2 for the right generators h_1, h_2
+    of k1 and k2, computed in the module x_lambda H (`hecke.fold_product`)
+    and expanded on distinguished members.
+    """
+    plans = _generator_plans(young_parabolic(k2.lam), k2.d, young_parabolic(k2.mu))
+    value = fold_product(_right_generator(k1), plans, young_parabolic(k1.lam).gens)
+    return expand_in_basis(k1.lam, k2.mu, value, distinguished=True)
 
 
-def expand_in_basis(lam: Weight, mu: Weight, value: HeckeElement) -> SchurElement:
+def expand_in_basis(
+    lam: Weight, mu: Weight, value: HeckeElement, distinguished: bool = False
+) -> SchurElement:
     """Write a Hecke element as a combination of double-coset sums.
 
     Greedy extraction: take a minimal-length support element d of the
@@ -188,12 +222,18 @@ def expand_in_basis(lam: Weight, mu: Weight, value: HeckeElement) -> SchurElemen
     that is not coset-minimal, a missing coset member or a member with
     another coefficient raises BasisExpansionError, so the value is
     accepted exactly when it is a combination of coset sums.
+
+    With distinguished, value is an element of the module x_lambda H, by
+    its coefficients on the basis x_lambda T_b (b in D_lambda), and phi^d
+    is x_lambda times the sum of T_b over the distinguished members b of
+    the coset: the same loop reads those members only.
     """
     # Checked here and each pivot d below, so that the index needs no
     # check of its own.
     if lam.n != mu.n or lam.r != mu.r or value.r != lam.r:
         raise ValueError("weights and value must share (n, r)")
     pil, pim = young_parabolic(lam), young_parabolic(mu)
+    members = distinguished_members if distinguished else enumerate_double_coset
     out: dict[SchurBasisIndex, LaurentPoly] = {}
     rem = dict(value.terms)
     for d in sorted(rem, key=_perm_key):
@@ -208,7 +248,7 @@ def expand_in_basis(lam: Weight, mu: Weight, value: HeckeElement) -> SchurElemen
             )
         c = rem[d]
         coeffs = c._c  # compared as dicts: LaurentPoly equality less its type checks
-        for w in enumerate_double_coset(pil, d, pim):
+        for w in members(pil, d, pim):
             x = rem.pop(w, None)
             if x is None or x._c != coeffs:
                 raise BasisExpansionError(

@@ -88,6 +88,23 @@ def test_schur_commands(capsys):
     assert code == 0 and "phi[" in out
 
 
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    # a fault inside aschur is neither a verification failure (1) nor a
+    # usage error (2): it exits 3 with one line and no traceback
+    from aschur import schur
+
+    def broken(k1, k2):
+        raise schur.BasisExpansionError("coset of rho^0 * [1,2]: broken")
+
+    monkeypatch.setattr(schur, "_mul_basis", broken)
+    code, out, err = run(
+        capsys, "schur", "mul", "--n", "3", "--r", "2",
+        "--a", "1,1,0 | [1,2] | 2,0,0", "--b", "2,0,0 | [1,2] | 1,1,0",
+    )
+    assert code == 3 and out == ""
+    assert err == "internal error: BasisExpansionError: coset of rho^0 * [1,2]: broken\n"
+
+
 def test_tensor_commands(capsys):
     code, out, _ = run(
         capsys, "tensor", "act", "--n", "3",

@@ -10,12 +10,10 @@ from aschur.present import (
     SUITE_NAMES,
     SUITES,
     RelationInstance,
-    build_M,
     cancellation,
     commute_projector,
     distinguished_analyze,
     factor_En,
-    m_word_conditions,
     mu_from_lambda,
     nu_from_mu,
     projector,
@@ -420,19 +418,6 @@ def test_run_suite_passes_small():
     for name in ("schur-presentation", "extended"):
         reports = run_suite(name, 3, 2)
         assert all(rep.passed for rep in reports)
-
-
-def test_paper_style_monomials_4_3():
-    n, r = 4, 3
-    for lam in all_weights(n, r):
-        if lam.parts[0] == 0:
-            continue
-        m = build_M(lam)
-        conds = m_word_conditions(lam, m)
-        assert all(conds.values()), (lam.parts, conds)
-        ((word, _),) = m.terms.items()
-        res = distinguished_analyze(word)
-        assert res.is_distinguished and res.nonzero
 
 
 def test_factor_en_identity_case():

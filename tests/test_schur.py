@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from aschur.aweyl import AffinePerm, enumerate_up_to_length
-from aschur.hecke import t_element, x_lambda, young_parabolic
+from aschur.aweyl import AffinePerm, distinguished_members, enumerate_up_to_length
+from aschur.hecke import HeckeElement, t_element, x_lambda, young_parabolic
 from aschur.ring import LaurentPoly
 from aschur.schur import (
     BasisExpansionError,
     SchurBasisIndex,
     SchurElement,
+    _mul_basis,
+    _right_generator,
     expand_in_basis,
     hecke_embed,
     identity_element,
@@ -206,18 +208,26 @@ def test_generator_product_at_r_6():
     r = 6
     top, hook = Weight((r, 0, 0)), Weight((r - 1, 1, 0))
     e = AffinePerm.identity(r)
-    left = SchurElement.basis(SchurBasisIndex(top, hook, e))
-    right = SchurElement.basis(SchurBasisIndex(hook, top, e))
-    qint = sum((LaurentPoly.q(k) for k in range(r)), LaurentPoly.zero())
     assert len(phi_value(SchurBasisIndex(top, hook, e)).terms) == math.factorial(r)
-    assert left * right == SchurElement.basis(SchurBasisIndex(top, top, e)).scaled(qint)
+    _check_generator_product(r)
 
 
 def test_generator_product_at_r_7():
     # the same product at r = 7: [7]_q phi_{(7),(7)}, with a left factor of
-    # 5,040 terms; the descent-tree fold and the orbit enumeration keep it
-    # near half a second
-    r = 7
+    # 5,040 terms in H; in the module x_(7) H it is x_(7) T_1, and the
+    # product takes about a millisecond
+    _check_generator_product(7)
+
+
+@pytest.mark.parametrize("r", [8, 10])
+def test_generator_product(r):
+    # r = 8 and 10: each of the r distinguished members of the right factor
+    # collapses x_(r) T_1 to a power of q, so even r = 10 (a left factor of
+    # 3,628,800 terms in H) takes milliseconds
+    _check_generator_product(r)
+
+
+def _check_generator_product(r):
     top, hook = Weight((r, 0, 0)), Weight((r - 1, 1, 0))
     e = AffinePerm.identity(r)
     left = SchurElement.basis(SchurBasisIndex(top, hook, e))
@@ -249,3 +259,92 @@ def test_phi_value_matches_x_lambda_action():
     assert val == x_lambda(lam)
     val2 = phi_value(SchurBasisIndex(lam, om, e))
     assert val2 == x_lambda(lam)
+
+
+def _module_value(prod: SchurElement) -> HeckeElement:
+    # x_lam-module coefficients of a product phi_A phi_B = sum c phi_C: each
+    # distinguished member of each C carries its c
+    terms = {}
+    for k, c in prod.terms.items():
+        pil, pim = young_parabolic(k.lam), young_parabolic(k.mu)
+        terms.update(dict.fromkeys(distinguished_members(pil, k.d, pim), c))
+    return HeckeElement(prod.r, terms)
+
+
+def _check_product(k1, k2, corrupt=False):
+    # the product folded in x_lam H against the Hecke route: the whole
+    # double coset of k1 times the right generator of k2, re-expanded on
+    # full cosets
+    got = _mul_basis(k1, k2)
+    want = expand_in_basis(k1.lam, k2.mu, phi_value(k1) * _right_generator(k2))
+    assert got == want, (k1.render(), k2.render())
+    if not corrupt:
+        return
+    # the module route's member guard: one distinguished member of a
+    # coset with several, v added to its coefficient, must raise
+    value = _module_value(got)
+    assert expand_in_basis(k1.lam, k2.mu, value, distinguished=True) == got
+    pivots = {k.d for k in got.terms}
+    w = next((w for w in value.terms if w not in pivots), None)
+    if w is not None:
+        bad = value + t_element(w).scaled(LaurentPoly.v())
+        with pytest.raises(BasisExpansionError, match="has coefficient"):
+            expand_in_basis(k1.lam, k2.mu, bad, distinguished=True)
+
+
+def test_module_product_matches_hecke_route_exhaustively():
+    # every basis pair at (3, 2) whose d has length <= 1 and rho power
+    # -1..2 (306 indices, 16,092 composable pairs)
+    n, r = 3, 2
+    weights = all_weights(n, r)
+    indices = {
+        SchurBasisIndex.make(lam, mu, w.mul_rho_left(z))
+        for lam in weights for mu in weights
+        for w in enumerate_up_to_length(r, 1) for z in range(-1, 3)
+    }
+    by_lam = {}
+    for k in indices:
+        by_lam.setdefault(k.lam, []).append(k)
+    pairs = [(k1, k2) for k1 in indices for k2 in by_lam[k1.mu]]
+    assert len(indices) == 306 and len(pairs) == 16092
+    for k1, k2 in pairs:
+        _check_product(k1, k2)
+
+
+@pytest.mark.parametrize("n,r,count", [(3, 3, 400), (4, 3, 400), (2, 4, 150), (5, 4, 300)])
+def test_module_product_matches_hecke_route_on_a_sample(n, r, count):
+    # seeded pairs with d of length <= 3 at rho powers -1..2, each also
+    # checking the module route's member guard
+    rng = random.Random(1000 * n + r)
+    weights = all_weights(n, r)
+    elems = list(enumerate_up_to_length(r, 3))
+    for _ in range(count):
+        lam, mu, nu = (rng.choice(weights) for _ in range(3))
+        k1, k2 = (
+            SchurBasisIndex.make(a, b, rng.choice(elems).mul_rho_left(rng.randint(-1, 2)))
+            for a, b in ((lam, mu), (mu, nu))
+        )
+        _check_product(k1, k2, corrupt=True)
+
+
+def test_module_expansion_guards():
+    # the expansion on distinguished members, which the product path uses,
+    # keeps every guard of the full-coset one: at r = 3 with lam = (2,1,0)
+    # and mu = (3,0,0), the coset S_3 of d = 1 has three distinguished
+    # members
+    lam, mu = Weight((2, 1, 0)), Weight((3, 0, 0))
+    idx = SchurBasisIndex(lam, mu, AffinePerm.identity(3))
+    good = _right_generator(idx)
+    assert len(good.terms) == 3
+    assert expand_in_basis(lam, mu, good, distinguished=True) == SchurElement.basis(idx)
+    top = max(good.terms, key=lambda w: w.length())
+    with pytest.raises(BasisExpansionError, match="none"):
+        expand_in_basis(lam, mu, good - t_element(top), distinguished=True)
+    with pytest.raises(BasisExpansionError, match="has coefficient"):
+        expand_in_basis(lam, mu, good + t_element(top), distinguished=True)
+    # s1 is not minimal in its right S_lam-coset, so it fails as a pivot
+    with pytest.raises(BasisExpansionError, match="not coset-minimal"):
+        expand_in_basis(lam, mu, good + t_element(AffinePerm.s(3, 1)), distinguished=True)
+    # s3 is minimal in its double coset, whose other members are absent
+    with pytest.raises(BasisExpansionError, match="none"):
+        expand_in_basis(lam, mu, good + t_element(AffinePerm.s(3, 3)), distinguished=True)

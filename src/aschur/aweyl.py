@@ -443,22 +443,17 @@ def enumerate_parabolic(pi: ParabolicIndex) -> frozenset[AffinePerm]:
 def enumerate_double_coset(
     pi1: ParabolicIndex, d: AffinePerm, pi2: ParabolicIndex
 ) -> frozenset[AffinePerm]:
-    """The finite set W_pi1 * d * W_pi2 (cached).
-
-    It is the disjoint union of the right cosets W_pi1 * b over its
-    distinguished members b (`distinguished_members`): each right coset
-    has exactly one member minimal in it.  For b = rho^z w, a * b is
-    rho^z (a' w) with a' = rho^-z a rho^z in W_(pi1 shifted by z), so each
-    member is one window read through a cached plan of `_left_plans`: no
-    neighbour products and no set lookups.
+    """The finite set W_pi1 * d * W_pi2 (cached): the disjoint union of
+    the right cosets W_pi1 * b over its distinguished members b
+    (`distinguished_members`), as each right coset has exactly one member
+    minimal in it.  No product builds it; it serves `phi_value`, the CLI
+    and the tests' whole-coset oracle.
     """
-    r, z = d.r, d.z  # every member shares the rho power of d
-    plans = _left_plans(pi1, z % r)
-    members = []
-    for b in distinguished_members(pi1, d, pi2):
-        w = b.window
-        members += [_trusted(r, z, tuple([w[i] + o for i, o in plan])) for plan in plans]
-    return frozenset(map(_shared, members))
+    return frozenset(
+        _shared(a * b)
+        for b in distinguished_members(pi1, d, pi2)
+        for a in enumerate_parabolic(pi1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -496,18 +491,6 @@ def distinguished_members(
                 seen.add(nxt)
                 tree.append(nxt)
     return tuple(_shared(_trusted(r, z, w)) for w in tree)
-
-
-@lru_cache(maxsize=None)
-def _left_plans(pi: ParabolicIndex, z: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """One (slot, offset) plan per element a of W_(pi shifted by z): slot t
-    of a w reads ((t)a)w, that is window[s] + (x - 1 - s) for x = (t)a
-    and s = (x - 1) mod r."""
-    r = pi.r
-    return tuple(
-        tuple(((x - 1) % r, x - 1 - (x - 1) % r) for x in a.window)
-        for a in enumerate_parabolic(pi.shifted(z))
-    )
 
 
 @lru_cache(maxsize=None)

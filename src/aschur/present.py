@@ -79,7 +79,7 @@ from .tensor import (
     vec_sub,
     weight_space_basis,
 )
-from .weights import Weight, all_weights, omega, residue
+from .weights import Weight, all_weights, omega, plus_alpha_parts, residue
 
 _V = LaurentPoly.v()
 _Q = LaurentPoly.q()
@@ -157,18 +157,16 @@ def source_weights(n: int, r: int, word: Word) -> tuple[Weight, ...] | None:
     >>> source_weights(3, 2, (P(Weight((2, 0, 0))), E(1), P(Weight((2, 0, 0)))))
     ()
     """
-    pin: list[int] | None = None  # the weight just right of the symbols read so far
+    pin: tuple[int, ...] | None = None  # the weight just right of the symbols read so far
     for s in word:
         if s.kind == "P":
-            if s.weight.n != n or pin not in (None, list(s.weight.parts)):
+            if s.weight.n != n or pin not in (None, s.weight.parts):
                 return ()
-            pin = list(s.weight.parts)
+            pin = s.weight.parts
         elif pin is None:
             continue
         elif s.kind in ("E", "e", "F", "f"):
-            sign = 1 if s.kind in ("E", "e") else -1
-            pin[(s.index - 1) % n] -= sign
-            pin[s.index % n] += sign
+            pin = plus_alpha_parts(pin, s.index, -1 if s.kind in ("E", "e") else 1)
         elif s.kind == "R":
             pin = pin[1:] + pin[:1]
         elif s.kind == "Rinv":
@@ -177,7 +175,7 @@ def source_weights(n: int, r: int, word: Word) -> tuple[Weight, ...] | None:
         return None
     if sum(pin) != r or min(pin) < 0:
         return ()
-    return (Weight(tuple(pin)),)
+    return (Weight(pin),)
 
 
 def touched_residues(n: int, word: Word) -> set[int] | None:
@@ -1010,18 +1008,6 @@ class AnalyzeResult:
     reason: str = ""
 
 
-def _entry(parts: tuple[int, ...], i: int) -> int:
-    return parts[(i - 1) % len(parts)]
-
-
-def _plus_alpha(parts: tuple[int, ...], i: int, c: int) -> tuple[int, ...]:
-    n = len(parts)
-    out = list(parts)
-    out[(i - 1) % n] += c
-    out[i % n] -= c
-    return tuple(out)
-
-
 def distinguished_analyze(word: Word) -> AnalyzeResult:
     """Parse a word over E/F/projector symbols into distinguished terms.
 
@@ -1056,18 +1042,21 @@ def distinguished_analyze(word: Word) -> AnalyzeResult:
         if pending is None:
             return ""
         kind, idx = pending
+        n = len(weight)
+        # the running weight may have negative parts, so read it raw
+        at_i, at_i1 = weight[residue(idx, n) - 1], weight[residue(idx + 1, n) - 1]
         if kind == "E":
-            if _entry(weight, idx) != 0:
+            if at_i != 0:
                 return f"E{idx} run needs weight entry {idx} = 0 at {weight}"
-            if _entry(weight, idx + 1) < pending_count:
+            if at_i1 < pending_count:
                 nonzero = False
-            nxt = _plus_alpha(weight, idx, pending_count)
+            nxt = plus_alpha_parts(weight, idx, pending_count)
         else:
-            if _entry(weight, idx + 1) != 0:
+            if at_i1 != 0:
                 return f"F{idx} run needs weight entry {idx + 1} = 0 at {weight}"
-            if _entry(weight, idx) < pending_count:
+            if at_i < pending_count:
                 nonzero = False
-            nxt = _plus_alpha(weight, idx, -pending_count)
+            nxt = plus_alpha_parts(weight, idx, -pending_count)
         terms.append(DistTerm(kind, idx, pending_count, weight))
         strict.extend([Sym(kind, idx)] * pending_count)
         weight = nxt
@@ -1313,7 +1302,10 @@ def en_factorization_sides(n: int, r: int, lam: Weight) -> tuple[
 
 @dataclass
 class FactorEnResult:
-    z_num: LaurentPoly  # z = z_num / z_den, with z_den = 1 when the division is exact
+    """z = z_num / z_den: the quotient in Z[v, v^-1] over z_den = 1 when
+    z_den divides z_num there, else the pair as the action gave it."""
+
+    z_num: LaurentPoly
     z_den: LaurentPoly
     holds: bool
     window: str

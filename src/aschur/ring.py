@@ -1,19 +1,19 @@
 """Exact Laurent polynomials in the variable v: the ring Z[v, v^-1].
 
-Every scalar in this package lives here.  Coefficients are Python ints;
-a rational coefficient (a `Fraction`) appears only where a division
-forces one: `exact_div` by a polynomial whose leading coefficient is not
-a unit, a negative power of a non-unit monomial, or an input that is
-rational already.  `specialize` returns a `Fraction`.
+Every scalar in this package lives here.  Coefficients are Python ints
+and nothing else: the constructor rejects any other type, `exact_div`
+divides in Z[v, v^-1] and raises when the quotient is not there, and
+negative powers exist only for the units +-v^e.  `specialize` evaluates
+at a rational v, so its value is a rational number, not a ring
+element.
 
 The convention throughout is q = v^2, so q-side quantities are Laurent
 polynomials whose exponents are all even; quantum integers
 [m] = (v^m - v^-m)/(v - v^-1), quantum factorials [m]! and balanced
 Gaussian binomial coefficients are provided as constructors.
 
-Polynomials are immutable and kept in canonical form (no zero
-coefficients stored, and an integral coefficient is always an int), so
-equality is plain structural equality.
+Polynomials are immutable and store no zero coefficient, so equality is
+plain structural equality.
 
 `Combination` is the free module over this ring: a finite combination of
 basis keys, with the sums, negation, scaling and equality that operator
@@ -22,15 +22,13 @@ words, Hecke elements and Schur elements share.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
-
-Scalar = Union[int, Fraction]
+from typing import Mapping
 
 
 class LaurentPoly:
     """A sparse Laurent polynomial {exponent: coefficient} in Z[v, v^-1].
 
-    Coefficients are ints; only division makes a non-integral `Fraction`.
+    Coefficients are ints; any other coefficient type raises TypeError.
 
     >>> (LaurentPoly.v() + LaurentPoly.v(-1)) ** 2
     LaurentPoly('v^2 + 2 + v^-2')
@@ -40,11 +38,12 @@ class LaurentPoly:
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
-        c: dict[int, Scalar] = {}
+    def __init__(self, coeffs: Mapping[int, int] | None = None):
+        c: dict[int, int] = {}
         if coeffs:
             for e, x in coeffs.items():
-                x = _canon(x)
+                if type(x) is not int:
+                    raise TypeError(f"coefficient {x!r} is not an int")
                 if x:
                     c[int(e)] = x
         self._c = c
@@ -60,15 +59,15 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def const(cls, x: Scalar) -> LaurentPoly:
+    def const(cls, x: int) -> LaurentPoly:
         return cls({0: x})
 
     @classmethod
-    def v(cls, exponent: int = 1, coeff: Scalar = 1) -> LaurentPoly:
+    def v(cls, exponent: int = 1, coeff: int = 1) -> LaurentPoly:
         return cls({exponent: coeff})
 
     @classmethod
-    def q(cls, power: int = 1, coeff: Scalar = 1) -> LaurentPoly:
+    def q(cls, power: int = 1, coeff: int = 1) -> LaurentPoly:
         """q^power with q = v^2."""
         return cls({2 * power: coeff})
 
@@ -80,7 +79,7 @@ class LaurentPoly:
     def is_one(self) -> bool:
         return self._c == {0: 1}
 
-    def coeff(self, exponent: int) -> Scalar:
+    def coeff(self, exponent: int) -> int:
         return self._c.get(exponent, 0)
 
     def items(self):
@@ -99,13 +98,13 @@ class LaurentPoly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
+    def __add__(self, other: LaurentPoly | int) -> LaurentPoly:
         other = _coerce(other)
         c = dict(self._c)
         for e, x in other._c.items():
             y = c.get(e, 0) + x
             if y:
-                c[e] = y if type(y) is int else _canon(y)
+                c[e] = y
             else:
                 del c[e]
         out = LaurentPoly.__new__(LaurentPoly)
@@ -119,31 +118,31 @@ class LaurentPoly:
         out._c = {e: -x for e, x in self._c.items()}
         return out
 
-    def __sub__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
+    def __sub__(self, other: LaurentPoly | int) -> LaurentPoly:
         other = _coerce(other)
         c = dict(self._c)
         for e, x in other._c.items():
             y = c.get(e, 0) - x
             if y:
-                c[e] = y if type(y) is int else _canon(y)
+                c[e] = y
             else:
                 del c[e]
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = c
         return out
 
-    def __rsub__(self, other: Scalar) -> LaurentPoly:
+    def __rsub__(self, other: int) -> LaurentPoly:
         return _coerce(other) - self
 
-    def __mul__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
+    def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         other = _coerce(other)
-        c: dict[int, Scalar] = {}
+        c: dict[int, int] = {}
         for e1, x1 in self._c.items():
             for e2, x2 in other._c.items():
                 e = e1 + e2
                 c[e] = c.get(e, 0) + x1 * x2
         out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: x if type(x) is int else _canon(x) for e, x in c.items() if x}
+        out._c = {e: x for e, x in c.items() if x}
         return out
 
     __rmul__ = __mul__
@@ -161,10 +160,10 @@ class LaurentPoly:
 
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
-            if not self.is_monomial():
-                raise ValueError("negative powers only for monomials")
+            if not self.is_monomial() or self.coeff(self.degree()) not in (1, -1):
+                raise ValueError("negative powers only for the units +-v^e")
             ((e, x),) = self._c.items()
-            return LaurentPoly({n * e: Fraction(x) ** n})
+            return LaurentPoly({n * e: x ** -n})
         out = LaurentPoly.one()
         base = self
         k = n
@@ -176,7 +175,7 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int:
             other = _coerce(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -194,7 +193,7 @@ class LaurentPoly:
         """The involution v -> v^-1."""
         return LaurentPoly({-e: x for e, x in self._c.items()})
 
-    def specialize(self, value: Scalar) -> Fraction:
+    def specialize(self, value: int | Fraction) -> Fraction:
         """Evaluate at v = value (an exact nonzero rational); a Fraction."""
         val = Fraction(value)
         if val == 0:
@@ -205,8 +204,12 @@ class LaurentPoly:
         return total
 
     def exact_div(self, other: LaurentPoly) -> LaurentPoly:
-        """Divide exactly by ``other``; raise ValueError on a remainder.
+        """Divide exactly by ``other`` in Z[v, v^-1]; raise ValueError when
+        the quotient is not there (a remainder, or a quotient coefficient
+        that is not an integer).
 
+        >>> LaurentPoly({1: 2, 0: 2}).exact_div(LaurentPoly.const(2))
+        LaurentPoly('v + 1')
         >>> num = LaurentPoly({5: 1, -5: -1})
         >>> den = LaurentPoly({1: 1, -1: -1})
         >>> num.exact_div(den)
@@ -225,9 +228,9 @@ class LaurentPoly:
         rem = list(num)
         lead = den[-1]
         for k in range(len(quo) - 1, -1, -1):
-            top = rem[k + len(den) - 1]
-            # 1/lead = lead for a unit; otherwise the quotient is rational.
-            c = top * lead if lead in (1, -1) else Fraction(top) / lead
+            c, rest = divmod(rem[k + len(den) - 1], lead)
+            if rest:
+                raise ValueError("not exactly divisible")
             quo[k] = c
             if c:
                 for j, d in enumerate(den):
@@ -261,10 +264,10 @@ class LaurentPoly:
             x = self._c[e]
             k = expo[e]
             if k == 0:
-                body = _frac_str(abs(x))
+                body = str(abs(x))
             else:
                 pw = sym if k == 1 else f"{sym}^{k}"
-                body = pw if abs(x) == 1 else f"{_frac_str(abs(x))}*{pw}"
+                body = pw if abs(x) == 1 else f"{abs(x)}*{pw}"
             if not parts:
                 parts.append(body if x > 0 else f"-{body}")
             else:
@@ -272,11 +275,9 @@ class LaurentPoly:
         return " ".join(parts)
 
     def structured(self) -> list[list[int]]:
-        """[[exponent, numerator, denominator], ...], highest exponent first."""
-        return [
-            [e, self._c[e].numerator, self._c[e].denominator]
-            for e in sorted(self._c, reverse=True)
-        ]
+        """[[exponent, coefficient, 1], ...], highest exponent first: the
+        schema's third entry is a denominator, always 1 in Z[v, v^-1]."""
+        return [[e, self._c[e], 1] for e in sorted(self._c, reverse=True)]
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self.render()}')"
@@ -284,25 +285,13 @@ class LaurentPoly:
     __str__ = __repr__
 
 
-def _coerce(x: LaurentPoly | Scalar) -> LaurentPoly:
+def _coerce(x: LaurentPoly | int) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
     return LaurentPoly({0: x})
 
 
-def _canon(x: Scalar) -> Scalar:
-    """x as an int when it is integral, else as a Fraction."""
-    if type(x) is int:
-        return x
-    fx = Fraction(x)
-    return fx.numerator if fx.denominator == 1 else fx
-
-
-def _frac_str(x: Scalar) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _dense(p: LaurentPoly) -> list[Scalar]:
+def _dense(p: LaurentPoly) -> list[int]:
     lo, hi = p.valuation(), p.degree()
     out = [0] * (hi - lo + 1)
     for e, x in p.items():
@@ -449,7 +438,7 @@ def gauss_binom(m: int, t: int) -> LaurentPoly:
     return out
 
 
-def specialize(p: LaurentPoly, value: Scalar) -> Fraction:
+def specialize(p: LaurentPoly, value: int | Fraction) -> Fraction:
     """Evaluation homomorphism v -> value (value must be nonzero).
 
     >>> specialize(quantum_int(5), 1)

@@ -63,36 +63,33 @@ def shift(b: Basis, k: int) -> Basis:
 def _act_basis(n: int, sym: Sym, b: Basis) -> tuple[tuple[Basis, LaurentPoly], ...]:
     kind, i = sym.kind, sym.index
     r = len(b)
-    if kind == "E":
+    ri, ri1 = residue(i, n), residue(i + 1, n)
+    if kind in ("E", "F", "e", "f"):
+        # E_i and e_i lower an entry of residue i + 1, F_i and f_i raise
+        # one of residue i; E_i twists by K_i K_{i+1}^-1 on the positions
+        # after it, F_i by the inverse on those before it, and the classical
+        # e_i, f_i are the twist-free v = 1 case.
+        lower = kind in ("E", "e")
+        src, step, sign = (ri1, -1, 1) if lower else (ri, 1, -1)
         out = []
         for j in range(r):
-            if residue(b[j], n) == residue(i + 1, n):
+            if residue(b[j], n) == src:
                 exp = 0
-                for k in range(j + 1, r):
-                    rk = residue(b[k], n)
-                    if rk == residue(i, n):
-                        exp += 1
-                    elif rk == residue(i + 1, n):
-                        exp -= 1
-                out.append((b[:j] + (b[j] - 1,) + b[j + 1 :], LaurentPoly.v(exp)))
+                if kind in ("E", "F"):
+                    for t in b[j + 1 :] if lower else b[:j]:
+                        rt = residue(t, n)
+                        if rt == ri:
+                            exp += sign
+                        elif rt == ri1:
+                            exp -= sign
+                out.append((b[:j] + (b[j] + step,) + b[j + 1 :], LaurentPoly.v(exp)))
         return tuple(out)
-    if kind == "F":
-        out = []
-        for j in range(r):
-            if residue(b[j], n) == residue(i, n):
-                exp = 0
-                for k in range(j):
-                    rk = residue(b[k], n)
-                    if rk == residue(i, n):
-                        exp -= 1
-                    elif rk == residue(i + 1, n):
-                        exp += 1
-                out.append((b[:j] + (b[j] + 1,) + b[j + 1 :], LaurentPoly.v(exp)))
-        return tuple(out)
-    if kind in ("K", "Kinv"):
-        count = sum(1 for t in b if residue(t, n) == residue(i, n))
-        e = count if kind == "K" else -count
-        return ((b, LaurentPoly.v(e)),)
+    if kind in ("K", "Kinv", "H"):
+        # H_i is the v = 1 case of K_i: the count itself, not v^count
+        count = sum(1 for t in b if residue(t, n) == ri)
+        if kind == "H":
+            return ((b, LaurentPoly.const(count)),)
+        return ((b, LaurentPoly.v(count if kind == "K" else -count)),)
     if kind == "R":
         return ((shift(b, 1), LaurentPoly.one()),)
     if kind == "Rinv":
@@ -101,21 +98,6 @@ def _act_basis(n: int, sym: Sym, b: Basis) -> tuple[tuple[Basis, LaurentPoly], .
         if weight_of(n, b) == sym.weight:
             return ((b, LaurentPoly.one()),)
         return ()
-    if kind == "e":
-        return tuple(
-            (b[:j] + (b[j] - 1,) + b[j + 1 :], LaurentPoly.one())
-            for j in range(r)
-            if residue(b[j], n) == residue(i + 1, n)
-        )
-    if kind == "f":
-        return tuple(
-            (b[:j] + (b[j] + 1,) + b[j + 1 :], LaurentPoly.one())
-            for j in range(r)
-            if residue(b[j], n) == residue(i, n)
-        )
-    if kind == "H":
-        count = sum(1 for t in b if residue(t, n) == residue(i, n))
-        return ((b, LaurentPoly.const(count)),)
     raise ValueError(f"unknown symbol kind {kind!r}")
 
 

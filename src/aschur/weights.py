@@ -36,14 +36,8 @@ class Weight:
 
     def plus_alpha(self, i: int, c: int = 1) -> Weight | None:
         """lambda + c*alpha_i, or None if a part would go negative."""
-        n = self.n
-        parts = list(self.parts)
-        up, down = (i - 1) % n, i % n
-        parts[up] += c
-        parts[down] -= c
-        if parts[up] < 0 or parts[down] < 0:
-            return None
-        return Weight(tuple(parts))
+        parts = plus_alpha_parts(self.parts, i, c)
+        return None if min(parts) < 0 else Weight(parts)
 
     def rotated(self) -> Weight:
         """lambda_+ = (lambda_n, lambda_1, ..., lambda_{n-1})."""
@@ -63,6 +57,20 @@ def residue(t: int, m: int) -> int:
     (3, 1)
     """
     return (t - 1) % m + 1
+
+
+def plus_alpha_parts(parts: tuple[int, ...], i: int, c: int = 1) -> tuple[int, ...]:
+    """parts + c*alpha_i on raw parts, which may go negative: c added to
+    entry i and taken from entry i + 1, both read periodically.
+
+    >>> plus_alpha_parts((1, 0, 1), 3, 2)
+    (-1, 0, 3)
+    """
+    n = len(parts)
+    out = list(parts)
+    out[(i - 1) % n] += c
+    out[i % n] -= c
+    return tuple(out)
 
 
 def omega(n: int, r: int) -> Weight:

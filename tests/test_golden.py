@@ -13,6 +13,8 @@
 - the `SchurElement.structured()` of the generator products
   phi_{(r),(r-1,1)} phi_{(r-1,1),(r)} at r = 4, 5.
 
+(The demos' stdout, `demo_*.txt`, is pinned by `tests/test_demos.py`.)
+
 The tests compare the current outputs with them byte for byte, so a
 change to the kernel's internals (its coefficient type, its accumulation,
 its caches, its relation table) is seen to keep every name, parameter,

@@ -17,11 +17,19 @@ Length ignores the rho part.  It is computed by the inversion formula
 which the test suite validates exhaustively against a breadth-first
 word-length oracle before anything downstream relies on it.
 
+The one-sided steps run on bare windows: `right_step` gives the window
+of w s_i and the direction of the length in one pass, `left_step` the
+window of s_j w, whose direction `descends_left` reads off two entries,
+and `rho_conjugate` the window of rho^-k w rho^k.  Reduced words and
+minimal double-coset members strip descents by these steps, with no
+length computed on the way.
+
 A double coset W_pi1 * d * W_pi2 of finite parabolic subgroups is the
 disjoint union of the right cosets W_pi1 * b of its distinguished
 members b, those minimal in W_pi1 * b.  With d minimal they are the
 d y, y in W_pi2, with lengths adding, and they form a tree from d under
-length-raising steps b -> b s_i (`distinguished_members`).
+length-raising steps b -> b s_i (`distinguished_tree`), which the phi
+products of `schur` fold along.
 
 At r = 1 the group W is trivial and the extended group is generated by
 rho alone: there is no generator s_i.
@@ -89,20 +97,9 @@ class AffinePerm:
     @classmethod
     def s(cls, r: int, i: int) -> AffinePerm:
         """The Coxeter generator s_i, 1 <= i <= r."""
-        if r == 1:
-            raise ValueError("at r = 1 there is no generator s_i: W is trivial")
-        if not 1 <= i <= r:
+        if r != 1 and not 1 <= i <= r:
             raise ValueError("generator index out of range")
-        win = []
-        for t in range(1, r + 1):
-            b = residue(t, r)
-            if b == residue(i, r):
-                win.append(t + 1)
-            elif b == residue(i + 1, r):
-                win.append(t - 1)
-            else:
-                win.append(t)
-        return cls(r, 0, tuple(win))
+        return cls(r, 0, right_step(tuple(range(1, r + 1)), i)[0])
 
     @classmethod
     def rho(cls, r: int, power: int = 1) -> AffinePerm:
@@ -173,17 +170,7 @@ class AffinePerm:
 
     def mul_gen_left(self, i: int) -> AffinePerm:
         """s_i * u; shifts the index across the rho part."""
-        r = self.r
-        j = residue(i + self.z, r)
-        win = list(self.window)
-        # s_j w swaps the arguments in residue classes j and j+1.
-        j1 = residue(j + 1, r)
-        if j1 == j + 1:
-            win[j - 1], win[j1 - 1] = win[j1 - 1], win[j - 1]
-        else:
-            # wrap: arguments r and r+1; (r+1)w = (1)w + r.
-            win[j - 1], win[j1 - 1] = win[j1 - 1] + r, win[j - 1] - r
-        return _trusted(r, self.z, tuple(win))
+        return _trusted(self.r, self.z, left_step(self.window, residue(i + self.z, self.r)))
 
     def mul_rho_right(self, k: int = 1) -> AffinePerm:
         """u * rho^k = rho^(z+k) * (rho^-k w rho^k)."""
@@ -254,21 +241,32 @@ def _trusted(r: int, z: int, window: tuple[int, ...]) -> AffinePerm:
 
 def rho_conjugate(window: tuple[int, ...], k: int) -> tuple[int, ...]:
     """The window of rho^-k w rho^k, for w with this window: u * rho^k is
-    rho^(z+k) times that element.  Slot t reads (t - k)w + k, one window
-    entry plus an offset, through the cached plan of `_rho_plan`."""
-    return tuple([window[i] + o for i, o in _rho_plan(len(window), k)])
+    rho^(z+k) times that element.  Slot t + 1 reads (t + 1 - k)w + k,
+    which is the entry in slot j + 1, j = (t - k) mod r, plus t - j.
+
+    >>> rho_conjugate((2, 1, 3), 1)
+    (1, 3, 2)
+    """
+    r = len(window)
+    return tuple([window[(t - k) % r] + t - (t - k) % r for t in range(r)])
 
 
-@lru_cache(maxsize=None)
-def _rho_plan(r: int, k: int) -> tuple[tuple[int, int], ...]:
-    """(slot, offset) per slot of rho^-k w rho^k: (t - k)w + k is
-    window[s0 - 1] + (t - k - s0) + k, with s0 the residue of t - k."""
-    plan = []
-    for t in range(1, r + 1):
-        s = t - k
-        s0 = residue(s, r)
-        plan.append((s0 - 1, s - s0 + k))
-    return tuple(plan)
+def left_step(window: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """The window of s_j w: s_j w swaps the arguments j and j + 1 of w,
+    with (r+1)w = (1)w + r.  j is a window slot: on rho^z w the generator
+    s_i acts through the slot j = i + z mod r (`left_slots`), and the
+    length goes down exactly when `descends_left` says so.
+
+    >>> left_step((1, 2, 3), 3)
+    (0, 2, 4)
+    """
+    r = len(window)
+    win = list(window)
+    if j < r:
+        win[j - 1], win[j] = win[j], win[j - 1]
+    else:
+        win[r - 1], win[0] = win[0] + r, win[r - 1] - r
+    return tuple(win)
 
 
 def right_step(window: tuple[int, ...], i: int) -> tuple[tuple[int, ...], bool]:
@@ -311,21 +309,15 @@ def _window_length(window: tuple[int, ...]) -> int:
 
 @lru_cache(maxsize=None)
 def _window_reduced(window: tuple[int, ...]) -> tuple[int, ...]:
-    r = len(window)
-    u = AffinePerm(r, 0, window)
     word: list[int] = []
-    cur = u.length()
-    while cur > 0:
-        for i in range(1, r + 1):
-            cand = u.mul_gen_left(i)
-            lc = cand.length()
-            if lc < cur:
+    while True:
+        for i in range(1, len(window) + 1):
+            if descends_left(window, (i,)):
                 word.append(i)
-                u, cur = cand, lc
+                window = left_step(window, i)
                 break
-        else:
-            raise AssertionError("no descent found on a non-identity element")
-    return tuple(word)
+        else:  # only the identity has no left descent
+            return tuple(word)
 
 
 # -- descents and distinguished representatives --------------------------------
@@ -404,23 +396,22 @@ def coset_decompose(
 
 
 def double_coset_min(w: AffinePerm, pi1: ParabolicIndex, pi2: ParabolicIndex) -> AffinePerm:
-    """The minimal-length element of W_pi1 w W_pi2."""
-    d = w
-    changed = True
-    while changed:
-        changed = False
-        for i in pi1.gens:
-            if has_left_descent(d, i):
-                d = d.mul_gen_left(i)
-                changed = True
+    """The minimal-length element of W_pi1 w W_pi2: strip left descents in
+    pi1, then right descents in pi2, until there is none."""
+    win, left = w.window, left_slots(pi1.gens, w.z, w.r)
+    while True:
+        for j in left:
+            if descends_left(win, (j,)):
+                win = left_step(win, j)
                 break
         else:
             for i in pi2.gens:
-                if has_right_descent(d, i):
-                    d = d.mul_gen_right(i)
-                    changed = True
+                nxt, up = right_step(win, i)
+                if not up:
+                    win = nxt
                     break
-    return d
+            else:
+                return _trusted(w.r, w.z, win)
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -456,41 +447,57 @@ def enumerate_double_coset(
     )
 
 
-@lru_cache(maxsize=None)
 def distinguished_members(
     pi1: ParabolicIndex, d: AffinePerm, pi2: ParabolicIndex
 ) -> tuple[AffinePerm, ...]:
-    """The members b of W_pi1 * d * W_pi2 that are minimal in W_pi1 * b
-    (cached), in order of length.
-
-    With d the minimal member (any d is first taken there), they are the
-    b = d y with y in W_pi2 minimal in (W_pi2 meet d^-1 W_pi1 d) y, and
-    l(b) = l(d) + l(y) (Deodhar).  Those y are closed under prefixes: if
-    y = y' s with l(y) = l(y') + 1, a left descent t of y' in that
-    parabolic would be one of y too, as t y = (t y') s.  So the
-    members form a tree from d, each b reaching b s_i (i in pi2) when the
-    length goes up and b s_i stays minimal in its right coset, and the
-    tree reaches every member.
+    """The members b of W_pi1 * d * W_pi2 that are minimal in W_pi1 * b, in
+    order of length: the first column of `distinguished_tree`.
 
     >>> pi1, pi2 = ParabolicIndex.make(3, [1]), ParabolicIndex.make(3, [1, 2])
     >>> [b.window for b in distinguished_members(pi1, AffinePerm.identity(3), pi2)]
     [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
+    """
+    return distinguished_tree(pi1, d, pi2)[0]
+
+
+Tree = tuple[tuple[AffinePerm, ...], tuple[int, ...], tuple[int, ...]]
+
+
+@lru_cache(maxsize=None)
+def distinguished_tree(pi1: ParabolicIndex, d: AffinePerm, pi2: ParabolicIndex) -> Tree:
+    """(members, parents, letters) for the distinguished members of
+    W_pi1 * d * W_pi2 (cached): member m is members[parents[m]] * s_i
+    with i = letters[m], one longer, except the root, the minimal member
+    (parent -1, letter 0).
+
+    With d the minimal member (any d is first taken there), the members
+    are the b = d y with y in W_pi2 minimal in (W_pi2 meet d^-1 W_pi1 d) y,
+    and l(b) = l(d) + l(y) (Deodhar).  Those y are closed under prefixes:
+    if y = y' s with l(y) = l(y') + 1, a left descent t of y' in that
+    parabolic would be one of y too, as t y = (t y') s.  So the members
+    form a tree from d, each b reaching b s_i (i in pi2) when the length
+    goes up and b s_i stays minimal in its right coset, and the tree
+    reaches every member.  It is walked breadth first, so the lengths
+    never go down and the parents never decrease along the members.
     """
     d = double_coset_min(d, pi1, pi2)
     r, z = d.r, d.z
     left = left_slots(pi1.gens, z, r)
     right = sorted(pi2.gens)
     seen = {d.window}
-    tree = [d.window]
-    for win in tree:  # grows as it is read: breadth first, by length
+    wins, parents, letters = [d.window], [-1], [0]
+    for m, win in enumerate(wins):  # grows as it is read
         for i in right:
             nxt, up = right_step(win, i)
             # A shorter neighbour that is minimal is a prefix member, seen
             # already at the level below: the length test only saves work.
             if up and nxt not in seen and not descends_left(nxt, left):
                 seen.add(nxt)
-                tree.append(nxt)
-    return tuple(_shared(_trusted(r, z, w)) for w in tree)
+                wins.append(nxt)
+                parents.append(m)
+                letters.append(i)
+    members = tuple(_shared(_trusted(r, z, w)) for w in wins)
+    return members, tuple(parents), tuple(letters)
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,9 @@
 Subcommands: weyl, hecke, schur, tensor, verify (a relation suite of
 aschur.present at --n and --r), monomial and matrix.  Exit status: 0 on
 success (all checks pass), 1 on verification failure, 2 on usage errors,
-3 on an internal error (any other exception, reported in one line).
+3 on an internal error (any other exception, reported in one line).  A
+usage error is a `UsageError`: a ValueError is one only while a flag's
+value is read (`_read`), and anywhere else it is an internal error.
 Structured output is line-delimited JSON records, each carrying a
 "schema" field.
 """
@@ -42,6 +44,15 @@ from .weights import Weight, parse_weight
 
 class UsageError(Exception):
     pass
+
+
+def _read(flag: str, make, *args):
+    """make(*args) on a value of flag: a ValueError there is the user's,
+    a usage error that names the flag."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -90,7 +101,7 @@ def _require_affine(n: int, r: int):
 
 def _parse_weight(text: str, n: int, r: int, flag: str) -> Weight:
     """A weight with n parts summing to r."""
-    lam = parse_weight(text)
+    lam = _read(flag, parse_weight, text)
     if lam.n != n or lam.r != r:
         raise UsageError(f"{flag} {text!r} must have {n} parts summing to {r}")
     return lam
@@ -98,10 +109,15 @@ def _parse_weight(text: str, n: int, r: int, flag: str) -> Weight:
 
 def _parse_perm(text: str, r: int, flag: str) -> AffinePerm:
     """An affine permutation whose period must be r."""
-    w = AffinePerm.parse(text)
+    w = _read(flag, AffinePerm.parse, text)
     if w.r != r:
         raise UsageError(f"{flag} {text!r} has period {w.r}, but --r is {r}")
     return w
+
+
+def _parabolic(r: int, text: str | None, flag: str) -> ParabolicIndex:
+    """The generator indices in text, none without it."""
+    return _read(flag, lambda: ParabolicIndex.make(r, _parse_ints(text) if text else ()))
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -118,7 +134,7 @@ def _cmd_weyl(args) -> int:
         _emit(args, w.render(), {"schema": "aschur.perm/1", **w.structured()})
         return 0
     if args.images:
-        w = AffinePerm.from_images(r, _parse_ints(args.images))
+        w = _read("--images", lambda: AffinePerm.from_images(r, _parse_ints(args.images)))
     elif args.perm:
         w = _parse_perm(args.perm, r, "--perm")
     else:
@@ -132,15 +148,12 @@ def _cmd_weyl(args) -> int:
         _emit(args, f"rho^{w.z} ; {text}",
               {"schema": "aschur.word/1", "z": w.z, "word": list(word)})
     elif args.action == "coset":
-        pi = ParabolicIndex.make(r, _parse_ints(args.pi)) if args.pi else ParabolicIndex.make(r, ())
-        par, dist = coset_decompose(w, pi, args.side)
+        par, dist = coset_decompose(w, _parabolic(r, args.pi, "--pi"), args.side)
         _emit(args, f"parabolic: {par.render()}  distinguished: {dist.render()}",
               {"schema": "aschur.coset/1", "parabolic": par.structured(),
                "distinguished": dist.structured()})
     elif args.action == "mincoset":
-        pi1 = ParabolicIndex.make(r, _parse_ints(args.pi1)) if args.pi1 else ParabolicIndex.make(r, ())
-        pi2 = ParabolicIndex.make(r, _parse_ints(args.pi2)) if args.pi2 else ParabolicIndex.make(r, ())
-        d = double_coset_min(w, pi1, pi2)
+        d = double_coset_min(w, _parabolic(r, args.pi1, "--pi1"), _parabolic(r, args.pi2, "--pi2"))
         _emit(args, d.render(), {"schema": "aschur.perm/1", **d.structured()})
     return 0
 
@@ -156,7 +169,7 @@ def _cmd_hecke(args) -> int:
     elif args.action == "xlambda":
         if not args.lam:
             raise UsageError("xlambda needs --lambda")
-        lam = parse_weight(args.lam)
+        lam = _read("--lambda", parse_weight, args.lam)
         if lam.r != args.r:
             raise UsageError(f"--lambda {args.lam!r} must sum to --r = {args.r}")
         h = x_lambda(lam, args.shift)
@@ -172,7 +185,7 @@ def _parse_phi(n: int, r: int, text: str, flag: str) -> SchurBasisIndex:
     lam = _parse_weight(parts[0], n, r, f"{flag} weight")
     d = _parse_perm(parts[1], r, f"{flag} permutation")
     mu = _parse_weight(parts[2], n, r, f"{flag} weight")
-    return SchurBasisIndex(lam, mu, d)
+    return _read(flag, SchurBasisIndex, lam, mu, d)
 
 
 def _cmd_schur(args) -> int:
@@ -180,7 +193,9 @@ def _cmd_schur(args) -> int:
     if args.action == "phi":
         if not (args.lam and args.mu and args.d):
             raise UsageError("phi needs --lambda, --mu and --d")
-        idx = SchurBasisIndex(
+        idx = _read(
+            "--d",
+            SchurBasisIndex,
             _parse_weight(args.lam, n, r, "--lambda"),
             _parse_weight(args.mu, n, r, "--mu"),
             _parse_perm(args.d, r, "--d"),
@@ -198,7 +213,7 @@ def _cmd_schur(args) -> int:
         if not args.perm:
             raise UsageError("embed needs --perm")
         h = t_element(_parse_perm(args.perm, r, "--perm"))
-        s = hecke_embed(h, n)
+        s = _read("--n", hecke_embed, h, n)
         _emit(args, s.render(), {"schema": "aschur.schur/1", "terms": s.structured()})
     return 0
 
@@ -208,8 +223,8 @@ def _cmd_tensor(args) -> int:
     if args.action == "act":
         if not args.word or not args.vector:
             raise UsageError("act needs --word and --vector")
-        word = _parse_word(args.word, n)
-        vec = act_expr_basis(n, OperatorExpr.word(word), _parse_ints(args.vector))
+        word = OperatorExpr.word(_read("--word", _parse_word, args.word, n))
+        vec = act_expr_basis(n, word, _read("--vector", _parse_ints, args.vector))
         _emit(args, render_vector(vec),
               {"schema": "aschur.vector/1",
                "terms": [
@@ -219,9 +234,11 @@ def _cmd_tensor(args) -> int:
     elif args.action == "weightspace":
         if not args.lam:
             raise UsageError("weightspace needs --lambda")
-        lam = parse_weight(args.lam)
         hi = args.hi if args.hi is not None else n
-        basis = weight_space_basis(n, lam, args.lo, hi)
+        if hi < args.lo:
+            raise UsageError(f"--lo {args.lo} is above --hi {hi}")
+        lam = _read("--lambda", parse_weight, args.lam)
+        basis = _read("--lambda", weight_space_basis, n, lam, args.lo, hi)
         text = "\n".join("e[" + ",".join(map(str, b)) + "]" for b in basis)
         _emit(args, text if basis else "(empty)",
               {"schema": "aschur.basis/1", "vectors": [list(b) for b in basis]})
@@ -250,25 +267,25 @@ def _cmd_monomial(args) -> int:
     _require_affine(n, r)
     lam = _parse_weight(args.lam, n, r, "--lambda")
     if args.action == "m1":
-        m1, mu = build_M1(lam)
+        m1, mu = _read("--lambda", build_M1, lam)
         _emit(args, f"mu={mu.render()}\nM1 = {m1.render()}",
               {"schema": "aschur.monomial/1", "mu": list(mu.parts), "word": m1.render()})
     elif args.action == "m2":
         mu = mu_from_lambda(lam)
-        m2, nu = build_M2(mu)
+        m2, nu = _read("--lambda", build_M2, mu)
         _emit(args, f"nu={nu.render()}\nM2 = {m2.render()}",
               {"schema": "aschur.monomial/1", "nu": list(nu.parts), "word": m2.render()})
     elif args.action == "m3":
         nu = nu_from_mu(mu_from_lambda(lam))
-        m3 = build_M3(nu)
+        m3 = _read("--lambda", build_M3, nu)
         _emit(args, f"M3 = {m3.render()}",
               {"schema": "aschur.monomial/1", "word": m3.render()})
     elif args.action == "m":
-        m = build_M(lam)
+        m = _read("--lambda", build_M, lam)
         _emit(args, f"M = {m.render()}",
               {"schema": "aschur.monomial/1", "word": m.render()})
     elif args.action == "factor-en":
-        res = factor_En(n, r, lam)
+        res = _read("--lambda", factor_En, n, r, lam)
         text = (f"E_{n} 1_lam = z * sigma(W) (E_{n} 1_omega) M\n"
                 f"z = {res.render_z()}\nholds: {res.holds}\nwindow: {res.window}")
         _emit(args, text,
@@ -292,7 +309,9 @@ def _cmd_matrix(args) -> int:
     if args.action == "from-coset":
         if not (args.lam and args.mu and args.d):
             raise UsageError("from-coset needs --lambda, --mu and --d")
-        a = matrix_from_coset(
+        a = _read(
+            "--d",
+            matrix_from_coset,
             _parse_weight(args.lam, n, r, "--lambda"),
             _parse_weight(args.mu, n, r, "--mu"),
             _parse_perm(args.d, r, "--d"),
@@ -301,9 +320,10 @@ def _cmd_matrix(args) -> int:
         return 0
     if not args.entries:
         raise UsageError(f"{args.action} needs --entries")
-    a = PeriodicMatrix(n, r, tuple(sorted(_parse_entries(args.entries))))
+    entries = _read("--entries", _parse_entries, args.entries)
+    a = _read("--entries", PeriodicMatrix, n, r, tuple(sorted(entries)))
     if args.action == "to-coset":
-        lam, mu, d = coset_from_matrix(a)
+        lam, mu, d = _read("--entries", coset_from_matrix, a)
         _emit(args, f"lambda={lam.render()} mu={mu.render()} d={d.render()}",
               {"schema": "aschur.coset/1", "lambda": list(lam.parts),
                "mu": list(mu.parts), "d": d.structured()})
@@ -409,9 +429,6 @@ def main(argv: list[str] | None = None) -> int:
                 raise UsageError(f"--{flag} must be positive (got {value})")
         return args.func(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of aschur itself, such as a failed expansion

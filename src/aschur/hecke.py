@@ -2,48 +2,25 @@
 
 Elements are finite Z[q, q^-1]-combinations of basis symbols T_w indexed
 by extended affine permutations (q = v^2 in the scalar ring).  The
-product folds the right factor generator by generator:
+product is the textbook fold: rho powers move through basis symbols by
+rotating generator indices, T_u * T_rho^k = T_{u rho^k}, and the left
+factor is folded through a reduced word of each right term, letter by
+letter,
 
     T_u * T_{s_i} = T_{u s_i}                       if length goes up,
     T_u * T_{s_i} = q T_{u s_i} + (q - 1) T_u       if length goes down,
 
-and rho powers move through basis symbols by rotating generator indices,
-so T_u * T_rho^k = T_{u rho^k} exactly.
+then scaled by that term's coefficient.  No step of the fold moves the
+rho power, so a state is a plain {window: coefficient} dict at one rho
+power, and one pass over the window of w (`aweyl.right_step`) gives both
+the window of w s_i and the direction of the length.  c q is an exponent
+shift of c, and c (q - 1) is c q - c.  This product is the independent
+route that the tests hold the phi products of `schur` to.
 
-The right factor is folded along its descent tree.  Its terms are
-grouped by rho power k and taken in order of length.  When v s_j is a
-right descent of v (l(v s_j) = l(v) - 1) that is also in the support,
-
-    T_v = T_{v s_j} T_{s_j},
-
-so the product of the whole left factor with T_v is that of T_{v s_j}
-folded through one more letter.  A term with no such parent starts from
-the left factor conjugated, {u rho^k : c_u}, and passes through the
-letters of its reduced word, and terms that meet at one element merge
-after every letter.  The right coefficient c_v is multiplied in at the
-end, once per term.  The right factor of a phi product (the
-distinguished members of a double coset, a tree from its minimal
-member) holds a parent of every other term, so each of those costs one
-letter.
-
-No step of the fold moves the rho power, so the left factor is grouped
-by its rho power z once and each group is folded as a plain
-{window: coefficient} dict; an AffinePerm is built only for a term of
-the product.  For u = rho^z w, one pass over the window of w
-(`aweyl.right_step`) gives both the window of w s_i and the direction of
-the length.  With pos(x) = t - (w_t - x), the argument that w sends to x
-(w_t is the window value in slot t that is congruent to x mod r),
-
-    l(u s_i) > l(u)   exactly when   pos(i) < pos(i + 1).
-
-c q is an exponent shift of c, c (q - 1) is c q - c, and a right-factor
-coefficient 1 (every coefficient of a phi product's right factor) is
-not multiplied in.
-
-The same fold runs in the right module x_pi H of a finite parabolic
-W_pi, x_pi the sum of its T_w (`fold_product` with the generators of
-pi).  Its basis is x_pi T_b over the b in D_pi, those minimal in their
-right coset W_pi b, and T_{s_i} acts on it in three cases (Deodhar):
+Those run the same letter rule in the right module x_pi H of a finite
+parabolic W_pi, x_pi the sum of its T_w.  Its basis is x_pi T_b over the
+b in D_pi, those minimal in their right coset W_pi b, and T_{s_i} acts
+on it in three cases (Deodhar):
 
     x_pi T_b T_{s_i} = x_pi T_{b s_i}                    if l(b s_i) > l(b), b s_i in D_pi,
                      = q x_pi T_{b s_i} + (q - 1) x_pi T_b  if l(b s_i) < l(b),
@@ -54,8 +31,11 @@ x_pi T_s = q x_pi.  In the second, b s_i stays in D_pi, because D_pi is
 closed under prefixes: a left descent t in W_pi of b s_i would be one of
 b, as l(t b) <= l(t b s_i) + 1 < l(b).  Membership is the left-descent
 test of `aweyl.descends_left`, on the generators of pi shifted by the
-rho power (`aweyl.left_slots`).  With pi empty, x_pi is 1, every b is in
-D_pi and the fold is the product of H.
+rho power (`aweyl.left_slots`).  A right factor there is the sum of T_b
+over the distinguished members of a double coset, and `fold_tree` folds
+it along the tree that enumerates them (`aweyl.distinguished_tree`):
+T_b = T_{b'} T_{s_i} for its parent b', so every member but the root
+costs one letter.
 """
 from __future__ import annotations
 
@@ -64,10 +44,10 @@ from functools import lru_cache
 from .aweyl import (
     AffinePerm,
     ParabolicIndex,
+    Tree,
     _trusted,
     descends_left,
     enumerate_parabolic,
-    left_slots,
     rho_conjugate,
     right_step,
 )
@@ -92,7 +72,17 @@ class HeckeElement(Combination):
 
     def __mul__(self, other: HeckeElement) -> HeckeElement:
         self._check_space(other)
-        return fold_product(self, descent_plans(other))
+        left: dict[int, dict[Window, LaurentPoly]] = {}
+        for u, cu in self.terms.items():
+            left.setdefault(u.z, {})[u.window] = cu
+        out: dict[AffinePerm, LaurentPoly] = {}
+        for v, cv in other.terms.items():
+            word, k = v.reduced_word(), v.z
+            for z, group in left.items():
+                start = {rho_conjugate(w, k): c for w, c in group.items()}
+                for w, c in _fold(start, word, ()).items():
+                    add_term(out, _trusted(self.r, z + k, w), c * cv)
+        return self._like(out)
 
     # -- rendering ----------------------------------------------------------------
 
@@ -149,105 +139,37 @@ def _fold(
     return acc
 
 
-Plans = list[tuple[int, list[tuple], set[Window]]]
+def fold_tree(
+    start: dict[Window, LaurentPoly], tree: Tree, left: tuple[int, ...]
+) -> dict[Window, LaurentPoly]:
+    """start (at one rho power) times the sum of T_b over the members b of
+    tree (`aweyl.distinguished_tree`, whose members share their rho power
+    k), as {window: coefficient}: with start conjugated by rho^k, the
+    root folds its reduced word and every other member one letter from
+    its parent's state.  With left, as in `_fold`, each T_x stands for
+    x_pi T_x, and start lies in D_pi: u rho^k is minimal in its right
+    W_pi-coset when u is.
 
-
-def descent_plans(h: HeckeElement) -> Plans:
-    """How to fold h as a right factor: per rho power k of its terms,
-    (k, plan, parents) as `_descent_tree` gives them."""
-    groups: dict[int, dict[AffinePerm, LaurentPoly]] = {}
-    for v, cv in h.terms.items():
-        groups.setdefault(v.z, {})[v] = cv
-    return [(k, *_descent_tree(vs)) for k, vs in groups.items()]
-
-
-def _descent_tree(vs: dict[AffinePerm, LaurentPoly]) -> tuple[list[tuple], set[Window]]:
-    """The fold plan of right-factor terms that share one rho power: per
-    term v, in order of length, (window, length, parent window, letters,
-    coefficient); and the windows of the terms that are some other term's
-    parent.
-
-    The parent is a right descent v s_j in the support, and the letters
-    are (j,): the state of T_v is the parent's times T_{s_j}.  A term with
-    no parent in the support has parent None and its whole reduced word.
+    A state is held until the last child of its member is folded; as the
+    parents never decrease along the members, that is at most one length
+    level.
     """
-    support = {v.window for v in vs}
-    r = next(iter(vs)).r
-    plan = []
-    parents: set[Window] = set()
-    for v in sorted(vs, key=_perm_key):
-        length, parent, letters = v.length(), None, None
-        for j in range(1, r + 1) if length else ():
-            ws, up = right_step(v.window, j)
-            if not up and ws in support:
-                parent, letters = ws, (j,)
-                parents.add(ws)
-                break
-        plan.append((v.window, length, parent, letters or v.reduced_word(), vs[v]))
-    return plan, parents
-
-
-def fold_product(h: HeckeElement, plans: Plans, gens: frozenset[int] = frozenset()) -> HeckeElement:
-    """h times the right factor that `descent_plans` planned.
-
-    With gens, the generator indices of a parabolic W_pi, and h supported
-    on D_pi, it is x_pi h times that factor in the right module x_pi H,
-    given by its coefficients on the basis x_pi T_b (b in D_pi).  With
-    gens empty, x_pi is 1 and it is the product in H.
-    """
-    left: dict[int, dict[Window, LaurentPoly]] = {}
-    for u, cu in h.terms.items():
-        left.setdefault(u.z, {})[u.window] = cu
-    r = h.r
-    out: dict[int, dict[Window, LaurentPoly]] = {}
-    for k, plan, parents in plans:
-        for z, group in left.items():
-            acc = out.setdefault(z + k, {})
-            _fold_tree(group, k, plan, parents, acc, left_slots(gens, z + k, r))
-    return h._like({
-        _trusted(r, z, w): c for z, acc in out.items() for w, c in acc.items()
-    })
-
-
-def _fold_tree(
-    group: dict[Window, LaurentPoly],
-    k: int,
-    plan: list[tuple],
-    parents: set[Window],
-    acc: dict[Window, LaurentPoly],
-    left: tuple[int, ...],
-) -> None:
-    """Add (sum of c T_u over rho^z group) * (sum of c_v T_v over the plan)
-    into acc, the {window: coefficient} dict of rho power z + k (with
-    left, each T_u stands for x_pi T_u, as in `_fold`).
-
-    The state of a parent is held only until the next length level has
-    read it (a level after a gap in the lengths reads none).  The start,
-    the group conjugated by rho^k, is built only when a term with no
-    parent needs it.  T_u rho^k is T_{u rho^k}, and u rho^k is minimal in
-    its right W_pi-coset when u is, so the start stays in D_pi.
-    """
-    start = None
-    held: dict[Window, dict[Window, LaurentPoly]] = {}
-    cur: dict[Window, dict[Window, LaurentPoly]] = {}
-    level = None
-    for v, length, parent, letters, cv in plan:
-        if length != level:  # a parent is one letter shorter
-            held, cur, level = cur, {}, length
-        if parent is not None:
-            state = _fold(held[parent], letters, left)
+    members, parents, letters = tree
+    held: dict[int, dict[Window, LaurentPoly]] = {}
+    out: dict[Window, LaurentPoly] = {}
+    done = 0  # every member before this one has had its last child
+    for m, p in enumerate(parents):
+        if p < 0:
+            state = _fold(start, members[m].reduced_word(), left)
         else:
-            if start is None:
-                start = {rho_conjugate(w, k): c for w, c in group.items()} if k else group
-            state = _fold(start, letters, left)
-        if v in parents:
-            cur[v] = state
-        if cv.is_one():
-            for w, x in state.items():
-                add_term(acc, w, x)
-        else:
-            for w, x in state.items():
-                add_term(acc, w, x * cv)
+            while done < p:
+                del held[done]
+                done += 1
+            state = _fold(held[p], (letters[m],), left)
+        held[m] = state
+        for w, c in state.items():
+            add_term(out, w, c)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -89,23 +89,20 @@ def row_col_sums(a: PeriodicMatrix) -> tuple[Weight, Weight]:
     return Weight(tuple(rows)), Weight(tuple(cols))
 
 
-def d_stat(a: PeriodicMatrix, band_extra: int = 1) -> int:
+def d_stat(a: PeriodicMatrix) -> int:
     """The pair statistic: sum of a_{ij} a_{kl} over i >= k, j < l, 1 <= i <= n.
 
     The second entry ranges over all integer translates (k, l) =
-    (i2 + qn, j2 + qn); the admissible q form a finite interval, summed
-    here with ``band_extra`` extra slots on each side (they contribute
-    nothing, which the tests assert by doubling the band).
+    (i2 + qn, j2 + qn) of a stored one.  i >= k and j < l hold exactly for
+    the q from qmin = floor((j - j2) / n) + 1 to qmax = floor((i - i2) / n),
+    so each pair of stored entries counts qmax - qmin + 1 times, or none.
     """
     total = 0
     for i1, j1, v1 in a.entries:
         for i2, j2, v2 in a.entries:
             qmax = (i1 - i2) // a.n
             qmin = (j1 - j2) // a.n + 1
-            for q in range(qmin - band_extra, qmax + band_extra + 1):
-                k, l = i2 + q * a.n, j2 + q * a.n
-                if i1 >= k and j1 < l:
-                    total += v1 * v2
+            total += v1 * v2 * max(0, qmax - qmin + 1)
     return total
 
 

@@ -1113,23 +1113,19 @@ def zeta(n: int, r: int, name: str) -> OperatorExpr:
     zeta(rho^-1) = (F_n...F_{r+1})(F_1...F_r) 1_omega,
     zeta(rho) = (E_r...E_{n-1})(E_{r-1}...E_1) E_n 1_omega,
     zeta(s_r) = 1_omega (v F_n...F_r E_r...E_n - 1).
+
+    All but zeta(s_r) are the R-free endomorphisms of `tensor.tau`
+    followed by 1_omega.
     """
     if n <= r:
         raise ValueError("zeta elements require n > r")
     om = omega(n, r)
-    if name == "rho":
-        syms = chain("E", range(r, n)) + chain("E", range(r - 1, 0, -1)) + [E(n), P(om)]
-        return _w(*syms)
-    if name == "rho-inv":
-        syms = chain("F", range(n, r, -1)) + chain("F", range(1, r + 1)) + [P(om)]
-        return _w(*syms)
-    if name.startswith("s"):
-        i = int(name[1:])
-        if 1 <= i < r:
-            return _w(F(i), E(i), P(om)).scaled(_V) - projector(om)
-        if i == r:
-            syms = [P(om)] + chain("F", range(n, r - 1, -1)) + chain("E", range(r, n + 1))
-            return OperatorExpr.word(syms, _V) - projector(om)
+    i = int(name[1:]) if name.startswith("s") else None
+    if name in ("rho", "rho-inv") or i is not None and 1 <= i < r:
+        return tau(n, r, name, "R-free") * projector(om)
+    if i == r:
+        syms = [P(om)] + chain("F", range(n, r - 1, -1)) + chain("E", range(r, n + 1))
+        return OperatorExpr.word(syms, _V) - projector(om)
     raise ValueError(f"unknown zeta element {name!r}")
 
 

@@ -13,15 +13,15 @@ members b of the coset (those minimal in S_lambda b; `aweyl`).  So
 phi_A phi_B (x_nu) = x_lambda h_A h_B lies in the right module
 x_lambda H, whose basis is x_lambda T_b over the b in D_lambda, and a
 product is computed there: x_lambda T_b for the members of h_A, folded
-through h_B by Deodhar's three cases (`hecke.fold_product`), a state
-|S_lambda| times smaller than the coset sum.  The value is re-expanded on
-distinguished members: phi^d contributes its coefficient to each
-distinguished member of its coset and to nothing else.  The expansion
-reads each coefficient off the minimal member of its double coset and
-removes all its members at once; a value that is not such a combination
-is an internal error and raises.  `phi_value`, the Hecke product and the
-expansion on whole cosets stay as the independent route that the tests
-compare with.
+along the tree of the members of h_B by Deodhar's three cases
+(`hecke.fold_tree`), a state |S_lambda| times smaller than the coset
+sum.  The value is re-expanded on distinguished members: phi^d
+contributes its coefficient to each distinguished member of its coset
+and to nothing else.  The expansion reads each coefficient off the
+minimal member of its double coset and removes all its members at once;
+a value that is not such a combination is an internal error and raises.
+`phi_value`, the Hecke product and the expansion on whole cosets stay as
+the independent route that the tests compare with.
 """
 from __future__ import annotations
 
@@ -30,21 +30,17 @@ from functools import lru_cache
 
 from .aweyl import (
     AffinePerm,
-    ParabolicIndex,
     _shared,
+    _trusted,
     distinguished_members,
+    distinguished_tree,
     double_coset_min,
     enumerate_double_coset,
     is_double_coset_min,
+    left_slots,
+    rho_conjugate,
 )
-from .hecke import (
-    HeckeElement,
-    Plans,
-    _perm_key,
-    descent_plans,
-    fold_product,
-    young_parabolic,
-)
+from .hecke import HeckeElement, fold_tree, young_parabolic
 from .ring import ONE, Combination, LaurentPoly, add_term
 from .weights import Weight, all_weights, omega
 
@@ -178,32 +174,25 @@ def phi_value(idx: SchurBasisIndex) -> HeckeElement:
     return HeckeElement(idx.d.r, dict.fromkeys(coset, ONE))
 
 
-def _right_generator(idx: SchurBasisIndex) -> HeckeElement:
-    """h with phi^d_{lambda,mu}(x_mu) = x_lambda * h: the sum of T_b over
-    the members b of S_lambda d S_mu that are minimal in S_lambda b
-    (cached by `aweyl.distinguished_members`: a basis element is a
-    factor of many products)."""
-    pi1, pi2 = young_parabolic(idx.lam), young_parabolic(idx.mu)
-    return HeckeElement(idx.d.r, dict.fromkeys(distinguished_members(pi1, idx.d, pi2), ONE))
-
-
-@lru_cache(maxsize=None)
-def _generator_plans(pi1: ParabolicIndex, d: AffinePerm, pi2: ParabolicIndex) -> Plans:
-    """The fold plan of the right generator of W_pi1 d W_pi2, keyed like
-    `aweyl.distinguished_members` (cached: many basis elements share one
-    right generator, and each is the right factor of many products)."""
-    return descent_plans(HeckeElement(d.r, dict.fromkeys(distinguished_members(pi1, d, pi2), ONE)))
-
-
 def _mul_basis(k1: SchurBasisIndex, k2: SchurBasisIndex) -> SchurElement:
     """Expand phi_{k1} . phi_{k2} in the phi basis (middle weights match).
 
     Its value on x_nu is x_lambda h_1 h_2 for the right generators h_1, h_2
-    of k1 and k2, computed in the module x_lambda H (`hecke.fold_product`)
-    and expanded on distinguished members.
+    of k1 and k2, computed in the module x_lambda H: the members of h_1
+    (rho power z) are folded along the tree of the members of h_2 (rho
+    power k) by `hecke.fold_tree`, from their windows conjugated by rho^k,
+    and the result, at rho power z + k, is expanded on distinguished
+    members.
     """
-    plans = _generator_plans(young_parabolic(k2.lam), k2.d, young_parabolic(k2.mu))
-    value = fold_product(_right_generator(k1), plans, young_parabolic(k1.lam).gens)
+    pil = young_parabolic(k1.lam)
+    r, z, k = k1.d.r, k1.d.z, k2.d.z
+    start = {
+        rho_conjugate(b.window, k): ONE
+        for b in distinguished_members(pil, k1.d, young_parabolic(k1.mu))
+    }
+    tree = distinguished_tree(young_parabolic(k2.lam), k2.d, young_parabolic(k2.mu))
+    folded = fold_tree(start, tree, left_slots(pil.gens, z + k, r))
+    value = HeckeElement(r, {_trusted(r, z + k, w): c for w, c in folded.items()})
     return expand_in_basis(k1.lam, k2.mu, value, distinguished=True)
 
 
@@ -212,16 +201,15 @@ def expand_in_basis(
 ) -> SchurElement:
     """Write a Hecke element as a combination of double-coset sums.
 
-    Greedy extraction: take a minimal-length support element d of the
-    remainder.  It must be the minimal representative of its double coset
-    S_lambda d S_mu, and its coefficient c is the coefficient of phi^d.
-    Every member of that coset must carry exactly c; the whole coset is
-    removed from the remainder, and the loop repeats.  The remainder is one
-    working dict, updated in place, and its support is sorted once: the
-    next pivot is the next element in that order not yet removed.  A pivot
-    that is not coset-minimal, a missing coset member or a member with
-    another coefficient raises BasisExpansionError, so the value is
-    accepted exactly when it is a combination of coset sums.
+    Every support element d that is the minimal representative of its
+    double coset S_lambda d S_mu is a pivot, in any order: its coefficient
+    c is the coefficient of phi^d, every member of that coset must carry
+    exactly c, and the whole coset is removed from the remainder, one
+    working dict updated in place.  A missing coset member or a member
+    with another coefficient raises BasisExpansionError, and so does a
+    term left over at the end: no pivot's coset holds it, so the minimal
+    member of its own coset is missing.  The value is accepted exactly
+    when it is a combination of coset sums.
 
     With distinguished, value is an element of the module x_lambda H, by
     its coefficients on the basis x_lambda T_b (b in D_lambda), and phi^d
@@ -236,16 +224,12 @@ def expand_in_basis(
     members = distinguished_members if distinguished else enumerate_double_coset
     out: dict[SchurBasisIndex, LaurentPoly] = {}
     rem = dict(value.terms)
-    for d in sorted(rem, key=_perm_key):
-        if d not in rem:
-            continue  # removed with an earlier pivot's coset
+    for d in value.terms:
+        if d not in rem or not is_double_coset_min(d, pil, pim):
+            continue  # removed with an earlier pivot's coset, or not a pivot
         # The coset cache and the index keep d alive: hold the copy that
         # the cached cosets share, not a fresh one from each product.
         d = _shared(d)
-        if not is_double_coset_min(d, pil, pim):
-            raise BasisExpansionError(
-                f"minimal support element {d.render()} is not coset-minimal"
-            )
         c = rem[d]
         coeffs = c._c  # compared as dicts: LaurentPoly equality less its type checks
         for w in members(pil, d, pim):
@@ -256,7 +240,10 @@ def expand_in_basis(
                     f"{'none' if x is None else x.render()}, not {c.render()}"
                 )
         out[SchurBasisIndex._trusted(lam, mu, d)] = c
-    return SchurElement(lam.n, lam.r, out)
+    if rem:
+        w = next(iter(rem))
+        raise BasisExpansionError(f"support element {w.render()} is not coset-minimal")
+    return SchurElement(lam.n, lam.r)._like(out)
 
 
 def identity_element(n: int, r: int) -> SchurElement:

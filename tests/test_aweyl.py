@@ -9,6 +9,7 @@ from aschur.aweyl import (
     ParabolicIndex,
     coset_decompose,
     distinguished_members,
+    distinguished_tree,
     double_coset_min,
     enumerate_double_coset,
     enumerate_parabolic,
@@ -20,6 +21,8 @@ from aschur.aweyl import (
     right_step,
     semidirect_decompose,
 )
+from aschur.hecke import young_parabolic
+from aschur.weights import all_weights
 from conftest import bfs_word_lengths
 
 
@@ -133,6 +136,17 @@ def test_public_constructors_reject_invalid_windows():
         AffinePerm.parse("[1,4,3]")
     with pytest.raises(ValueError):
         AffinePerm.s(3, 4)
+
+
+def test_generator_swaps_i_and_i_plus_1():
+    # s_i by its definition: it swaps t and t + 1 for every t = i mod r
+    # and fixes every other integer
+    for r in range(2, 6):
+        for i in range(1, r + 1):
+            s = AffinePerm.s(r, i)
+            for t in range(-r, 2 * r + 1):
+                want = t + 1 if (t - i) % r == 0 else t - 1 if (t - i - 1) % r == 0 else t
+                assert s.apply(t) == want, (r, i, t)
 
 
 def test_no_generator_at_r_1():
@@ -329,6 +343,38 @@ def test_distinguished_members_match_definition(r):
         assert len(members) * len(enumerate_parabolic(pi1)) == len(
             enumerate_double_coset(pi1, d, pi2)
         )
+
+
+def test_distinguished_tree_links_each_member_to_its_parent():
+    # every (lam, mu, d) at (n, r) = (3, 3) with l(d) <= 3 and rho powers
+    # -1..2: the tree holds the members, its root is the minimal member,
+    # and every other member is its parent times s_letter, one longer, with
+    # lengths and parents never going down along the members (the fold
+    # drops a parent's state on that order)
+    r = 3
+    weights = all_weights(3, r)
+    trees = 0
+    for w in enumerate_up_to_length(r, 3):
+        for z in range(-1, 3):
+            d = w.mul_rho_left(z)
+            for lam in weights:
+                for mu in weights:
+                    pi1, pi2 = young_parabolic(lam), young_parabolic(mu)
+                    members, parents, letters = distinguished_tree(pi1, d, pi2)
+                    assert members == distinguished_members(pi1, d, pi2)
+                    assert len(parents) == len(letters) == len(members)
+                    assert [m for m, p in enumerate(parents) if p == -1] == [0]
+                    assert members[0] == double_coset_min(d, pi1, pi2)
+                    assert is_double_coset_min(members[0], pi1, pi2)
+                    for m in range(1, len(members)):
+                        b, parent = members[m], members[parents[m]]
+                        assert letters[m] in pi2.gens
+                        assert b == parent * AffinePerm.s(r, letters[m]), (d, lam, mu, m)
+                        assert b.length() == parent.length() + 1
+                    lengths = [b.length() for b in members]
+                    assert lengths == sorted(lengths) and list(parents) == sorted(parents)
+                    trees += 1
+    assert trees == 19 * 4 * 100
 
 
 def test_enumerate_parabolic():

@@ -105,6 +105,20 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert err == "internal error: BasisExpansionError: coset of rho^0 * [1,2]: broken\n"
 
 
+def test_value_error_behind_a_valid_command_is_internal(capsys, monkeypatch):
+    # only a value read from a flag makes a ValueError a usage error: one
+    # raised by the checker on a valid verify call is aschur's own fault
+    from aschur import present
+
+    def broken(n, r, inst):
+        raise ValueError("broken check")
+
+    monkeypatch.setattr(present, "verify_identity", broken)
+    code, out, err = run(capsys, "verify", "--suite", "schur-presentation", "--n", "3", "--r", "2")
+    assert code == 3 and out == ""
+    assert err == "internal error: ValueError: broken check\n"
+
+
 def test_tensor_commands(capsys):
     code, out, _ = run(
         capsys, "tensor", "act", "--n", "3",

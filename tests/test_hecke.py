@@ -169,9 +169,9 @@ coeffs = st.one_of(
 def hecke_elements(draw, r):
     """1 to 3 terms, each rho^z times a word of up to 3 letters; or, half
     the time, descent chains: at one or two rho powers, some prefixes of
-    a word of up to 5 letters, so that a term's parent (the prefix one
-    letter shorter) is present, absent, or two letters below, as the
-    descent-tree fold meets them in a phi product's right factor."""
+    a word of up to 5 letters, so that a term's prefix one letter shorter
+    is present, absent, or two letters below, as in a phi product's right
+    factor."""
     terms: dict = {}
     if draw(st.booleans()):
         for z in draw(st.lists(st.integers(-1, 1), min_size=1, max_size=2, unique=True)):
@@ -198,8 +198,8 @@ def hecke_elements(draw, r):
 def test_product_of_multi_term_elements(data):
     # several terms, mixed rho powers, coefficients other than 1 (one of
     # them two terms, not a unit), descent chains in the right factor: the
-    # descent-tree window fold must agree with the sum of single-term
-    # products and with the plain length-rule fold
+    # window fold of the product must agree with the sum of single-term
+    # products and with the reference fold on AffinePerms and length()
     r = data.draw(st.sampled_from([2, 3, 4]))
     a, b, c = (data.draw(hecke_elements(r)) for _ in range(3))
     ab = a * b
@@ -213,10 +213,10 @@ def test_product_of_multi_term_elements(data):
     assert ab * c == a * (b * c)
 
 
-def test_descent_tree_fold_on_whole_length_balls():
-    # right factors whose every term of positive length has its parents in
-    # the support (all of W up to length 2 at two rho powers), and the same
-    # with length 1 removed, so that the length-2 terms fold from the start
+def test_window_fold_on_whole_length_balls():
+    # the product against the reference fold on right factors that hold
+    # all of W up to length 2 at two rho powers, and the same with length
+    # 1 removed, each term with a coefficient of its own
     r = 3
     ball = enumerate_up_to_length(r, 2)
     left = x_lambda(Weight((2, 1, 0))) + T(AffinePerm.rho(r, -1)).scaled(Q)

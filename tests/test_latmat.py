@@ -37,13 +37,31 @@ def test_row_col_sums():
     assert rows.parts == (2, 0, 0) and cols.parts == (0, 2, 0)
 
 
+def brute_d_stat(a: PeriodicMatrix) -> int:
+    # the defining sum over the translates (i2 + qn, j2 + qn) of each stored
+    # entry, for every q in a window wider than the admissible one: as
+    # |i - i2| < n, an admissible q has -|j - j2| <= q <= 0
+    width = 2 + 2 * max(abs(j) for _, j, _ in a.entries)
+    total = 0
+    for i1, j1, v1 in a.entries:
+        for i2, j2, v2 in a.entries:
+            for q in range(-width, width + 1):
+                if i1 >= i2 + q * a.n and j1 < j2 + q * a.n:
+                    total += v1 * v2
+    return total
+
+
 def test_d_stat_basics():
     om = omega(3, 2)
     diag = matrix_from_coset(om, om, AffinePerm.identity(2))
     assert d_stat(diag) == 0
     m = PeriodicMatrix.from_dict(2, 2, {(1, 2): 1, (2, 1): 1})
-    assert d_stat(m, 1) == d_stat(m, 2) == d_stat(m, 4)
-    assert d_stat(m) > 0
+    assert d_stat(m) == brute_d_stat(m) > 0
+    for lam in all_weights(3, 3):
+        for mu in all_weights(3, 3):
+            for d in minimal_reps(3, 3, lam, mu, 3):
+                a = matrix_from_coset(lam, mu, d)
+                assert d_stat(a) == brute_d_stat(a), (lam, mu, d)
 
 
 def test_aperiodicity():

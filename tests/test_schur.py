@@ -12,7 +12,6 @@ from aschur.schur import (
     SchurBasisIndex,
     SchurElement,
     _mul_basis,
-    _right_generator,
     expand_in_basis,
     hecke_embed,
     identity_element,
@@ -259,6 +258,14 @@ def test_phi_value_matches_x_lambda_action():
     assert val == x_lambda(lam)
     val2 = phi_value(SchurBasisIndex(lam, om, e))
     assert val2 == x_lambda(lam)
+
+
+def _right_generator(idx: SchurBasisIndex) -> HeckeElement:
+    # h with phi^d_{lam,mu}(x_mu) = x_lam * h: the sum of T_b over the
+    # members b of S_lam d S_mu that are minimal in S_lam b
+    pil, pim = young_parabolic(idx.lam), young_parabolic(idx.mu)
+    members = distinguished_members(pil, idx.d, pim)
+    return HeckeElement(idx.d.r, dict.fromkeys(members, LaurentPoly.one()))
 
 
 def _module_value(prod: SchurElement) -> HeckeElement:

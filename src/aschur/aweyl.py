@@ -20,9 +20,10 @@ word-length oracle before anything downstream relies on it.
 The one-sided steps run on bare windows: `right_step` gives the window
 of w s_i and the direction of the length in one pass, `left_step` the
 window of s_j w, whose direction `descends_left` reads off two entries,
-and `rho_conjugate` the window of rho^-k w rho^k.  Reduced words and
-minimal double-coset members strip descents by these steps, with no
-length computed on the way.
+and `rho_conjugate` the window of rho^-k w rho^k.  Reduced words, coset
+decompositions and minimal double-coset members all come from one loop
+over these steps, `_strip`, which strips left and right descents off a
+window, with no length computed on the way.
 
 A double coset W_pi1 * d * W_pi2 of finite parabolic subgroups is the
 disjoint union of the right cosets W_pi1 * b of its distinguished
@@ -309,23 +310,39 @@ def _window_length(window: tuple[int, ...]) -> int:
 
 @lru_cache(maxsize=None)
 def _window_reduced(window: tuple[int, ...]) -> tuple[int, ...]:
-    word: list[int] = []
+    # left descents of the bare w, whose slot j is s_j, until the identity,
+    # the one window with none
+    return tuple(_strip(window, range(1, len(window) + 1), ())[1])
+
+
+def _strip(
+    window: tuple[int, ...], slots: Iterable[int], gens: Iterable[int]
+) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """Strip descents until none is left: s_j on the left for the window
+    slots j in slots, else s_i on the right for i in gens, the first that
+    descends each time.  Returns (window, slots stripped on the left,
+    generators stripped on the right), each in the order stripped, so the
+    window is s_jk ... s_j1 w s_i1 ... s_im with lengths adding."""
+    lefts: list[int] = []
+    rights: list[int] = []
     while True:
-        for i in range(1, len(window) + 1):
-            if descends_left(window, (i,)):
-                word.append(i)
-                window = left_step(window, i)
+        for j in slots:
+            if descends_left(window, (j,)):
+                window = left_step(window, j)
+                lefts.append(j)
                 break
-        else:  # only the identity has no left descent
-            return tuple(word)
+        else:
+            for i in gens:
+                nxt, up = right_step(window, i)
+                if not up:
+                    window = nxt
+                    rights.append(i)
+                    break
+            else:
+                return window, lefts, rights
 
 
 # -- descents and distinguished representatives --------------------------------
-
-
-def has_left_descent(u: AffinePerm, i: int) -> bool:
-    """l(s_i u) < l(u), read off two window entries (`descends_left`)."""
-    return descends_left(u.window, (residue(i + u.z, u.r),))
 
 
 @lru_cache(maxsize=None)
@@ -346,23 +363,15 @@ def descends_left(window: tuple[int, ...], slots: tuple[int, ...]) -> bool:
     return False
 
 
-def has_right_descent(u: AffinePerm, i: int) -> bool:
-    """l(u s_i) < l(u), by the position rule of `right_step`."""
-    return not right_step(u.window, i)[1]
-
-
 def is_distinguished_right(d: AffinePerm, pi: ParabolicIndex) -> bool:
     """d minimal in its right coset W_pi d: no s in pi descends on the left."""
     return not descends_left(d.window, left_slots(pi.gens, d.z, d.r))
 
 
-def is_distinguished_left(d: AffinePerm, pi: ParabolicIndex) -> bool:
-    """d minimal in its left coset d W_pi: no s in pi descends on the right."""
-    return not any(has_right_descent(d, i) for i in pi.gens)
-
-
 def is_double_coset_min(d: AffinePerm, pi1: ParabolicIndex, pi2: ParabolicIndex) -> bool:
-    return is_distinguished_right(d, pi1) and is_distinguished_left(d, pi2)
+    """d minimal in W_pi1 d W_pi2: no s in pi1 descends on the left and
+    no s in pi2 on the right."""
+    return is_distinguished_right(d, pi1) and all(right_step(d.window, i)[1] for i in pi2.gens)
 
 
 def coset_decompose(
@@ -372,46 +381,32 @@ def coset_decompose(
 
     side='left' returns (a, d) with w = a*d, a in W_pi, d minimal in W_pi d.
     side='right' returns (a, d) with w = d*a, a in W_pi, d minimal in d W_pi.
-    Lengths are additive in both cases.
+    Lengths are additive in both cases.  On the left, a stripped slot j of
+    the window is the generator s_i with i = j - z mod r.
+
+    >>> w = AffinePerm.rho(3).mul_gen_left(1)  # s_1 rho: slot 2 descends
+    >>> a, d = coset_decompose(w, ParabolicIndex.make(3, [1]))
+    >>> a.render(), d.render()
+    ('rho^0 * [2,1,3]', 'rho^1 * [1,2,3]')
     """
-    par = AffinePerm.identity(w.r)
-    d = w
-    changed = True
-    while changed:
-        changed = False
-        for i in pi.gens:
-            if side == "left":
-                if has_left_descent(d, i):
-                    par = par.mul_gen_right(i)
-                    d = d.mul_gen_left(i)
-                    changed = True
-                    break
-            else:
-                if has_right_descent(d, i):
-                    par = par.mul_gen_left(i)
-                    d = d.mul_gen_right(i)
-                    changed = True
-                    break
-    return par, d
+    r, z = w.r, w.z
+    if side == "left":
+        win, slots, _ = _strip(w.window, left_slots(pi.gens, z, r), ())
+        letters = [residue(j - z, r) for j in slots]
+    else:
+        win, _, gens = _strip(w.window, (), pi.gens)
+        letters = reversed(gens)
+    par = AffinePerm.identity(r)
+    for i in letters:
+        par = par.mul_gen_right(i)
+    return par, _trusted(r, z, win)
 
 
 def double_coset_min(w: AffinePerm, pi1: ParabolicIndex, pi2: ParabolicIndex) -> AffinePerm:
     """The minimal-length element of W_pi1 w W_pi2: strip left descents in
     pi1, then right descents in pi2, until there is none."""
-    win, left = w.window, left_slots(pi1.gens, w.z, w.r)
-    while True:
-        for j in left:
-            if descends_left(win, (j,)):
-                win = left_step(win, j)
-                break
-        else:
-            for i in pi2.gens:
-                nxt, up = right_step(win, i)
-                if not up:
-                    win = nxt
-                    break
-            else:
-                return _trusted(w.r, w.z, win)
+    win = _strip(w.window, left_slots(pi1.gens, w.z, w.r), pi2.gens)[0]
+    return _trusted(w.r, w.z, win)
 
 
 # -- enumeration ----------------------------------------------------------------

@@ -46,7 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import product
+from itertools import groupby, product
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .aweyl import AffinePerm, enumerate_parabolic
@@ -292,18 +293,9 @@ def verify_identity(n: int, r: int, inst: RelationInstance) -> CheckReport:
 
 def verify_schur_relation(inst: RelationInstance) -> CheckReport:
     diff = inst.lhs - inst.rhs
-    if diff.is_zero():
-        return CheckReport(
-            inst.name, inst.description, inst.params, "phi-basis identity (exact)", True
-        )
-    return CheckReport(
-        inst.name,
-        inst.description,
-        inst.params,
-        "phi-basis identity (exact)",
-        False,
-        diff.render(),
-    )
+    passed = diff.is_zero()
+    return CheckReport(inst.name, inst.description, inst.params, "phi-basis identity (exact)",
+                       passed, None if passed else diff.render())
 
 
 def verify_all(n: int, r: int, insts: Iterable[RelationInstance]) -> list[CheckReport]:
@@ -1008,6 +1000,10 @@ class AnalyzeResult:
     reason: str = ""
 
 
+def _rejected(reason: str) -> AnalyzeResult:
+    return AnalyzeResult(False, False, None, None, False, reason)
+
+
 def distinguished_analyze(word: Word) -> AnalyzeResult:
     """Parse a word over E/F/projector symbols into distinguished terms.
 
@@ -1020,74 +1016,46 @@ def distinguished_analyze(word: Word) -> AnalyzeResult:
     """
     syms = tuple(word)
     if not syms:
-        return AnalyzeResult(False, False, None, None, False, "empty word")
+        return _rejected("empty word")
     for s in syms:
         if s.kind not in ("E", "F", "P"):
-            return AnalyzeResult(False, False, None, None, False,
-                                 f"symbol {s.render()} outside the E/F/projector alphabet")
+            return _rejected(f"symbol {s.render()} outside the E/F/projector alphabet")
     if syms[-1].kind != "P":
-        return AnalyzeResult(False, False, None, None, False,
-                             "word does not end with a projector")
+        return _rejected("word does not end with a projector")
 
     weight = syms[-1].weight.parts
+    n = len(weight)
     terms: list[DistTerm] = []
-    strict: list[Sym] = [P(Weight(weight))]
-    pending: tuple[str, int] | None = None
-    pending_count = 0
-    strictly = True
-    nonzero = True
-
-    def close_run() -> str:
-        nonlocal weight, pending, pending_count, nonzero
-        if pending is None:
-            return ""
-        kind, idx = pending
-        n = len(weight)
+    strict: list[Sym] = [syms[-1]]
+    strictly = nonzero = True
+    after_run = False
+    # right to left over the projector groups and the runs X_i^c
+    for (kind, idx), group in groupby(reversed(syms[:-1]), attrgetter("kind", "index")):
+        group = list(group)
+        if kind == "P":
+            for s in group:
+                if s.weight.parts != weight:
+                    return _rejected(
+                        f"projector {s.weight.render()} does not match the running weight {weight}")
+            strict.extend(group)
+            after_run = False
+            continue
+        if after_run:  # two runs meet: the projector between them is implied
+            strictly = False
+            if min(weight) >= 0:
+                strict.append(P(Weight(weight)))
+        # E_i^c needs entry i zero and room c at entry i + 1; F_i^c mirrors it
+        zero, room, sign = (idx, idx + 1, 1) if kind == "E" else (idx + 1, idx, -1)
         # the running weight may have negative parts, so read it raw
-        at_i, at_i1 = weight[residue(idx, n) - 1], weight[residue(idx + 1, n) - 1]
-        if kind == "E":
-            if at_i != 0:
-                return f"E{idx} run needs weight entry {idx} = 0 at {weight}"
-            if at_i1 < pending_count:
-                nonzero = False
-            nxt = plus_alpha_parts(weight, idx, pending_count)
-        else:
-            if at_i1 != 0:
-                return f"F{idx} run needs weight entry {idx + 1} = 0 at {weight}"
-            if at_i < pending_count:
-                nonzero = False
-            nxt = plus_alpha_parts(weight, idx, -pending_count)
-        terms.append(DistTerm(kind, idx, pending_count, weight))
-        strict.extend([Sym(kind, idx)] * pending_count)
-        weight = nxt
-        pending = None
-        pending_count = 0
-        return ""
-
-    for s in reversed(syms[:-1]):
-        if s.kind == "P":
-            err = close_run()
-            if err:
-                return AnalyzeResult(False, False, None, None, False, err)
-            if s.weight.parts != weight:
-                return AnalyzeResult(
-                    False, False, None, None, False,
-                    f"projector {s.weight.render()} does not match the running weight {weight}")
-            strict.append(P(s.weight))
-        else:
-            if pending is not None and pending != (s.kind, s.index):
-                err = close_run()
-                if err:
-                    return AnalyzeResult(False, False, None, None, False, err)
-                strictly = False
-                if min(weight) >= 0:
-                    strict.append(P(Weight(weight)))
-            if pending is None:
-                pending = (s.kind, s.index)
-            pending_count += 1
-    err = close_run()
-    if err:
-        return AnalyzeResult(False, False, None, None, False, err)
+        if weight[residue(zero, n) - 1] != 0:
+            return _rejected(f"{kind}{idx} run needs weight entry {zero} = 0 at {weight}")
+        c = len(group)
+        if weight[residue(room, n) - 1] < c:
+            nonzero = False
+        terms.append(DistTerm(kind, idx, c, weight))
+        strict.extend(group)
+        weight = plus_alpha_parts(weight, idx, sign * c)
+        after_run = True
 
     if not terms:
         terms.append(DistTerm("P", 0, 0, syms[-1].weight.parts))

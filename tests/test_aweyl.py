@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +15,10 @@ from aschur.aweyl import (
     enumerate_double_coset,
     enumerate_parabolic,
     enumerate_up_to_length,
-    has_left_descent,
-    has_right_descent,
+    descends_left,
     is_distinguished_right,
     is_double_coset_min,
+    left_slots,
     right_step,
     semidirect_decompose,
 )
@@ -107,9 +108,10 @@ def test_unchecked_one_sided_products_are_valid(u, k):
 
 
 def test_fused_step_and_descents_match_length_exhaustively():
-    # right_step's window and direction, and the two descent tests, against
-    # the general product and the length formula (itself checked against
-    # BFS word lengths), for every l(w) <= 5 at r = 2..6
+    # right_step's window and direction, and the left descent test on the
+    # generator's slot, against the general product and the length formula
+    # (itself checked against BFS word lengths), for every l(w) <= 5 at
+    # r = 2..6
     cases = 0
     for r in range(2, 7):
         gens = [AffinePerm.s(r, i) for i in range(1, r + 1)]
@@ -122,8 +124,10 @@ def test_fused_step_and_descents_match_length_exhaustively():
                     window, up = right_step(u.window, i)
                     assert window == us.window == u.mul_gen_right(i).window, (u, i)
                     assert up == (us.length() > ell), (u, i)
-                    assert has_right_descent(u, i) == (us.length() < ell), (u, i)
-                    assert has_left_descent(u, i) == (u.mul_gen_left(i).length() < ell), (u, i)
+                    assert (not up) == (us.length() < ell), (u, i)
+                    left = left_slots(frozenset({i}), u.z, r)
+                    assert descends_left(u.window, left) == (
+                        u.mul_gen_left(i).length() < ell), (u, i)
                     cases += 1
     assert cases > 20_000
 
@@ -218,15 +222,29 @@ def test_coset_decompose():
 
 
 def test_coset_decompose_exhaustive():
-    r = 3
-    pi = ParabolicIndex.make(r, [1, 2])
-    elems = enumerate_up_to_length(r, 4)
-    for w in elems:
-        par, dist = coset_decompose(w, pi, "left")
-        assert par * dist == w
-        assert par.length() + dist.length() == w.length()
-        assert is_distinguished_right(dist, pi)
-        assert all(i in pi.gens for i in par.reduced_word())
+    # both sides at rho^-2..2 and every parabolic of one or two generators:
+    # w = a*d (left) or d*a (right) with a in W_pi and lengths adding, and d
+    # the shortest of the products a*w (or w*a) over a in W_pi
+    cases = 0
+    for r, max_length in ((2, 4), (3, 4), (4, 3)):
+        pis = [ParabolicIndex.make(r, gens)
+               for k in (1, 2) if k < r for gens in combinations(range(1, r + 1), k)]
+        for w0 in enumerate_up_to_length(r, max_length):
+            for z in range(-2, 3):
+                w = w0.mul_rho_left(z)
+                for pi in pis:
+                    group = enumerate_parabolic(pi)
+                    for side in ("left", "right"):
+                        par, dist = coset_decompose(w, pi, side)
+                        assert (par * dist if side == "left" else dist * par) == w, (w, pi, side)
+                        assert par.length() + dist.length() == w.length(), (w, pi, side)
+                        assert par in group, (w, pi, side)
+                        coset = [a * w if side == "left" else w * a for a in group]
+                        assert dist.length() == min(u.length() for u in coset), (w, pi, side)
+                        if side == "left":
+                            assert is_distinguished_right(dist, pi)
+                        cases += 1
+    assert cases > 5_000
 
 
 def test_decomposition_unique_on_truncation():
@@ -270,6 +288,15 @@ def test_double_coset_min():
         assert w in coset
         assert d.length() == min(u.length() for u in coset)
         assert is_double_coset_min(d, pi, pi)
+    # the cached-coset cases (pi1 != pi2, nonzero rho powers): every member
+    # of the product coset goes to its shortest member
+    for r in (3, 4):
+        for pi1, d, pi2 in _coset_cases(r):
+            coset = _product_coset(pi1, d, pi2)
+            shortest = min(coset, key=AffinePerm.length)
+            assert d == shortest
+            for w in coset:
+                assert double_coset_min(w, pi1, pi2) == shortest, (pi1, w, pi2)
 
 
 def _product_coset(pi1, d, pi2):

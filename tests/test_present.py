@@ -9,6 +9,7 @@ from aschur.present import (
     LEMMAS,
     SUITE_NAMES,
     SUITES,
+    DistTerm,
     RelationInstance,
     cancellation,
     commute_projector,
@@ -331,6 +332,32 @@ def test_distinguished_analyze_examples():
     assert res.is_distinguished and not res.is_strictly_distinguished
     assert res.nonzero
     assert res.strict_form == (F(i), F(i), P(up), E(i), E(i), P(lam))
+
+    # every rejection, with its reason
+    p110 = P(Weight((1, 1, 0)))
+    rejected = {
+        (): "empty word",
+        (K(1), p110): "symbol K1 outside the E/F/projector alphabet",
+        (p110, E(1)): "word does not end with a projector",
+        (E(1), p110): "E1 run needs weight entry 1 = 0 at (1, 1, 0)",
+        (F(1), p110): "F1 run needs weight entry 2 = 0 at (1, 1, 0)",
+        (P(Weight((2, 0, 0))), E(1), P(Weight((0, 2, 0)))):
+            "projector (2,0,0) does not match the running weight (1, 1, 0)",
+        # the E2 run leaves a negative entry, where no projector is inserted
+        (E(1), E(2), P(Weight((2, 0, 0)))): "E1 run needs weight entry 1 = 0 at (2, 1, -1)",
+    }
+    for word, reason in rejected.items():
+        res = distinguished_analyze(word)
+        assert (res.is_strictly_distinguished, res.is_distinguished, res.parse,
+                res.strict_form, res.nonzero, res.reason) == (
+            False, False, None, None, False, reason), word
+
+    # a run past its threshold parses strictly, but to zero and with no
+    # strict form, as the weight it leaves has a negative entry
+    res = distinguished_analyze((E(1), E(1), P(Weight((0, 1, 1)))))
+    assert res.is_strictly_distinguished and res.is_distinguished
+    assert not res.nonzero and res.strict_form is None
+    assert res.parse == (DistTerm("E", 1, 2, (0, 1, 1)),)
 
 
 def test_distinguished_nonzero_agrees_with_evaluation():

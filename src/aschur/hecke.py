@@ -45,7 +45,9 @@ from .aweyl import (
     AffinePerm,
     ParabolicIndex,
     Tree,
+    Window,
     _trusted,
+    _window_reduced,
     descends_left,
     enumerate_parabolic,
     rho_conjugate,
@@ -53,8 +55,6 @@ from .aweyl import (
 )
 from .ring import Combination, LaurentPoly, add_term
 from .weights import Weight
-
-Window = tuple[int, ...]
 
 
 class HeckeElement(Combination):
@@ -143,24 +143,24 @@ def fold_tree(
     start: dict[Window, LaurentPoly], tree: Tree, left: tuple[int, ...]
 ) -> dict[Window, LaurentPoly]:
     """start (at one rho power) times the sum of T_b over the members b of
-    tree (`aweyl.distinguished_tree`, whose members share their rho power
-    k), as {window: coefficient}: with start conjugated by rho^k, the
-    root folds its reduced word and every other member one letter from
-    its parent's state.  With left, as in `_fold`, each T_x stands for
-    x_pi T_x, and start lies in D_pi: u rho^k is minimal in its right
-    W_pi-coset when u is.
+    tree (`aweyl.distinguished_tree`: windows at one rho power k), as
+    {window: coefficient}: with start conjugated by rho^k, the root folds
+    its reduced word (`aweyl._window_reduced`, read off its window) and
+    every other member one letter from its parent's state.  With left, as
+    in `_fold`, each T_x stands for x_pi T_x, and start lies in D_pi:
+    u rho^k is minimal in its right W_pi-coset when u is.
 
     A state is held until the last child of its member is folded; as the
     parents never decrease along the members, that is at most one length
     level.
     """
-    members, parents, letters = tree
+    windows, parents, letters = tree
     held: dict[int, dict[Window, LaurentPoly]] = {}
     out: dict[Window, LaurentPoly] = {}
     done = 0  # every member before this one has had its last child
     for m, p in enumerate(parents):
         if p < 0:
-            state = _fold(start, members[m].reduced_word(), left)
+            state = _fold(start, _window_reduced(windows[m]), left)
         else:
             while done < p:
                 del held[done]

@@ -292,10 +292,10 @@ def verify_identity(n: int, r: int, inst: RelationInstance) -> CheckReport:
 
 
 def verify_schur_relation(inst: RelationInstance) -> CheckReport:
-    diff = inst.lhs - inst.rhs
-    passed = diff.is_zero()
+    """lhs = rhs as SchurElements; a FAIL's counterexample is lhs - rhs."""
+    passed = inst.lhs == inst.rhs
     return CheckReport(inst.name, inst.description, inst.params, "phi-basis identity (exact)",
-                       passed, None if passed else diff.render())
+                       passed, None if passed else (inst.lhs - inst.rhs).render())
 
 
 def verify_all(n: int, r: int, insts: Iterable[RelationInstance]) -> list[CheckReport]:

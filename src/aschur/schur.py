@@ -20,6 +20,10 @@ contributes its coefficient to each distinguished member of its coset
 and to nothing else.  The expansion reads each coefficient off the
 minimal member of its double coset and removes all its members at once;
 a value that is not such a combination is an internal error and raises.
+From the trees to the expansion a product runs on bare windows at one
+rho power: the trees are cached on plain values
+(`aweyl.distinguished_tree`), and only a pivot that the expansion keeps
+becomes an element and an index.
 `phi_value`, the Hecke product and the expansion on whole cosets stay as
 the independent route that the tests compare with.
 """
@@ -30,15 +34,17 @@ from functools import lru_cache
 
 from .aweyl import (
     AffinePerm,
+    Window,
     _shared,
     _trusted,
-    distinguished_members,
+    descends_left,
     distinguished_tree,
     double_coset_min,
     enumerate_double_coset,
     is_double_coset_min,
     left_slots,
     rho_conjugate,
+    right_step,
 )
 from .hecke import HeckeElement, fold_tree, young_parabolic
 from .ring import ONE, Combination, LaurentPoly, add_term
@@ -178,28 +184,40 @@ def _mul_basis(k1: SchurBasisIndex, k2: SchurBasisIndex) -> SchurElement:
     """Expand phi_{k1} . phi_{k2} in the phi basis (middle weights match).
 
     Its value on x_nu is x_lambda h_1 h_2 for the right generators h_1, h_2
-    of k1 and k2, computed in the module x_lambda H: the members of h_1
-    (rho power z) are folded along the tree of the members of h_2 (rho
-    power k) by `hecke.fold_tree`, from their windows conjugated by rho^k,
-    and the result, at rho power z + k, is expanded on distinguished
-    members.
+    of k1 and k2, computed in the module x_lambda H on bare windows: the
+    member windows of h_1 (rho power z), conjugated by rho^k, are folded
+    along the tree of the members of h_2 (rho power k) by
+    `hecke.fold_tree`, and the folded {window: coefficient} dict, at rho
+    power z + k, is expanded on distinguished members.  Both trees are
+    looked up by plain values (`aweyl.distinguished_tree`), as the d of an
+    index is minimal; no element is built before the expansion keeps a
+    pivot.
     """
     pil = young_parabolic(k1.lam)
-    r, z, k = k1.d.r, k1.d.z, k2.d.z
-    start = {
-        rho_conjugate(b.window, k): ONE
-        for b in distinguished_members(pil, k1.d, young_parabolic(k1.mu))
-    }
-    tree = distinguished_tree(young_parabolic(k2.lam), k2.d, young_parabolic(k2.mu))
-    folded = fold_tree(start, tree, left_slots(pil.gens, z + k, r))
-    value = HeckeElement(r, {_trusted(r, z + k, w): c for w, c in folded.items()})
-    return expand_in_basis(k1.lam, k2.mu, value, distinguished=True)
+    d1, d2 = k1.d, k2.d
+    z, k = d1.z, d2.z
+    members = distinguished_tree(pil.gens, z, d1.window, young_parabolic(k1.mu).gens)[0]
+    start = dict.fromkeys((rho_conjugate(w, k) for w in members) if k else members, ONE)
+    tree = distinguished_tree(
+        young_parabolic(k2.lam).gens, k, d2.window, young_parabolic(k2.mu).gens
+    )
+    folded = fold_tree(start, tree, left_slots(pil.gens, z + k, d1.r))
+    return expand_in_basis(k1.lam, k2.mu, folded, True, z + k)
 
 
 def expand_in_basis(
-    lam: Weight, mu: Weight, value: HeckeElement, distinguished: bool = False
+    lam: Weight,
+    mu: Weight,
+    value: HeckeElement | dict[Window, LaurentPoly],
+    distinguished: bool = False,
+    z: int = 0,
 ) -> SchurElement:
     """Write a Hecke element as a combination of double-coset sums.
+
+    value is a HeckeElement, or the {window: coefficient} dict of one at
+    the single rho power z, which the expansion empties (the product path
+    passes its folded dict so).  Every double coset lies at one rho power,
+    so the terms are expanded one rho power at a time, on windows.
 
     Every support element d that is the minimal representative of its
     double coset S_lambda d S_mu is a pivot, in any order: its coefficient
@@ -209,41 +227,58 @@ def expand_in_basis(
     with another coefficient raises BasisExpansionError, and so does a
     term left over at the end: no pivot's coset holds it, so the minimal
     member of its own coset is missing.  The value is accepted exactly
-    when it is a combination of coset sums.
+    when it is a combination of coset sums.  An element is built for each
+    pivot kept, and for the one an error message names.
 
     With distinguished, value is an element of the module x_lambda H, by
     its coefficients on the basis x_lambda T_b (b in D_lambda), and phi^d
     is x_lambda times the sum of T_b over the distinguished members b of
-    the coset: the same loop reads those members only.
+    the coset: the same loop reads those members only, the windows of the
+    cached tree of d.
     """
     # Checked here and each pivot d below, so that the index needs no
     # check of its own.
-    if lam.n != mu.n or lam.r != mu.r or value.r != lam.r:
+    r = lam.r
+    hecke = isinstance(value, HeckeElement)
+    if lam.n != mu.n or mu.r != r or (hecke and value.r != r):
         raise ValueError("weights and value must share (n, r)")
+    groups: dict[int, dict[Window, LaurentPoly]] = {} if hecke else {z: value}
+    if hecke:
+        for w, c in value.terms.items():
+            groups.setdefault(w.z, {})[w.window] = c
     pil, pim = young_parabolic(lam), young_parabolic(mu)
-    members = distinguished_members if distinguished else enumerate_double_coset
+    gens1, gens2 = pil.gens, pim.gens
+    right = sorted(gens2)
     out: dict[SchurBasisIndex, LaurentPoly] = {}
-    rem = dict(value.terms)
-    for d in value.terms:
-        if d not in rem or not is_double_coset_min(d, pil, pim):
-            continue  # removed with an earlier pivot's coset, or not a pivot
-        # The coset cache and the index keep d alive: hold the copy that
-        # the cached cosets share, not a fresh one from each product.
-        d = _shared(d)
-        c = rem[d]
-        coeffs = c._c  # compared as dicts: LaurentPoly equality less its type checks
-        for w in members(pil, d, pim):
-            x = rem.pop(w, None)
-            if x is None or x._c != coeffs:
-                raise BasisExpansionError(
-                    f"coset of {d.render()}: {w.render()} has coefficient "
-                    f"{'none' if x is None else x.render()}, not {c.render()}"
-                )
-        out[SchurBasisIndex._trusted(lam, mu, d)] = c
-    if rem:
-        w = next(iter(rem))
-        raise BasisExpansionError(f"support element {w.render()} is not coset-minimal")
-    return SchurElement(lam.n, lam.r)._like(out)
+    for z, rem in groups.items():
+        left = left_slots(gens1, z, r)
+        for w in list(rem):
+            if w not in rem or descends_left(w, left) or not all(
+                right_step(w, i)[1] for i in right
+            ):
+                continue  # removed with an earlier pivot's coset, or not a pivot
+            c = rem[w]
+            coeffs = c._c  # compared as dicts: LaurentPoly equality less its type checks
+            if distinguished:
+                members = distinguished_tree(gens1, z, w, gens2)[0]
+            else:
+                members = [b.window for b in enumerate_double_coset(pil, _trusted(r, z, w), pim)]
+            for b in members:
+                x = rem.pop(b, None)
+                if x is None or x._c != coeffs:
+                    raise BasisExpansionError(
+                        f"coset of {_trusted(r, z, w).render()}: {_trusted(r, z, b).render()} "
+                        f"has coefficient {'none' if x is None else x.render()}, not {c.render()}"
+                    )
+            # The index keeps d alive: hold the copy that the cached cosets
+            # and earlier products share, not a fresh one from each product.
+            out[SchurBasisIndex._trusted(lam, mu, _shared(_trusted(r, z, w)))] = c
+        if rem:
+            w = next(iter(rem))
+            raise BasisExpansionError(
+                f"support element {_trusted(r, z, w).render()} is not coset-minimal"
+            )
+    return SchurElement(lam.n, r)._like(out)
 
 
 def identity_element(n: int, r: int) -> SchurElement:

@@ -387,11 +387,15 @@ def test_distinguished_tree_links_each_member_to_its_parent():
             for lam in weights:
                 for mu in weights:
                     pi1, pi2 = young_parabolic(lam), young_parabolic(mu)
-                    members, parents, letters = distinguished_tree(pi1, d, pi2)
-                    assert members == distinguished_members(pi1, d, pi2)
+                    dmin = double_coset_min(d, pi1, pi2)
+                    windows, parents, letters = distinguished_tree(
+                        pi1.gens, dmin.z, dmin.window, pi2.gens)
+                    members = distinguished_members(pi1, d, pi2)
+                    assert tuple(b.window for b in members) == windows
+                    assert all(b.z == d.z for b in members)
                     assert len(parents) == len(letters) == len(members)
                     assert [m for m, p in enumerate(parents) if p == -1] == [0]
-                    assert members[0] == double_coset_min(d, pi1, pi2)
+                    assert members[0] == dmin
                     assert is_double_coset_min(members[0], pi1, pi2)
                     for m in range(1, len(members)):
                         b, parent = members[m], members[parents[m]]
@@ -402,6 +406,45 @@ def test_distinguished_tree_links_each_member_to_its_parent():
                     assert lengths == sorted(lengths) and list(parents) == sorted(parents)
                     trees += 1
     assert trees == 19 * 4 * 100
+
+
+def test_distinguished_tree_key_holds_the_rho_power():
+    # at r = 3 with pi1 = {1} and pi2 = {1, 2}, the identity window is the
+    # minimal member at rho powers 0 and 1; the left slot that s_1 tests
+    # moves with the rho power, so the two trees, looked up by the same
+    # window, have different members, each as the definition gives them
+    r = 3
+    pi1, pi2 = ParabolicIndex.make(r, [1]), ParabolicIndex.make(r, [1, 2])
+    window = (1, 2, 3)
+    trees = []
+    for z in (0, 1):
+        d = AffinePerm.rho(r, z)
+        assert is_double_coset_min(d, pi1, pi2)
+        windows = distinguished_tree(pi1.gens, z, window, pi2.gens)[0]
+        expected = {b for b in _product_coset(pi1, d, pi2) if is_distinguished_right(b, pi1)}
+        assert {AffinePerm(r, z, w) for w in windows} == expected, z
+        assert len(windows) == len(expected) == 3
+        trees.append(windows)
+    assert set(trees[0]) != set(trees[1])
+
+
+def test_distinguished_tree_is_cached_once_per_double_coset():
+    # a non-minimal d is first taken to the minimal member: the same tree,
+    # and no second cache entry; the cache itself takes minimal windows only
+    r = 4
+    pi1, pi2 = ParabolicIndex.make(r, [1, 2]), ParabolicIndex.make(r, [2, 4])
+    d = double_coset_min(AffinePerm.s(r, 3).mul_rho_left(1), pi1, pi2)
+    members = distinguished_members(pi1, d, pi2)
+    size = distinguished_tree.cache_info().currsize
+    top = max(_product_coset(pi1, d, pi2), key=lambda w: (w.length(), w.window))
+    assert top != d and not is_double_coset_min(top, pi1, pi2)
+    assert distinguished_members(pi1, top, pi2) == members
+    assert distinguished_tree.cache_info().currsize == size
+    assert distinguished_tree(pi1.gens, d.z, d.window, pi2.gens)[0] == tuple(
+        b.window for b in members)
+    with pytest.raises(ValueError, match="not minimal"):
+        distinguished_tree(pi1.gens, top.z, top.window, pi2.gens)
+    assert distinguished_tree.cache_info().currsize == size
 
 
 def test_enumerate_parabolic():

@@ -4,6 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
+from aschur.aweyl import AffinePerm
 from aschur.operators import E, F, K, OperatorExpr, P, R, Sym
 from aschur.present import (
     LEMMAS,
@@ -24,10 +25,13 @@ from aschur.present import (
     sigma_antiaut,
     suite,
     verification_domain,
+    verify_all,
     verify_identity,
+    verify_schur_relation,
     zeta,
 )
 from aschur.ring import LaurentPoly, gauss_binom, quantum_fact
+from aschur.schur import SchurBasisIndex, SchurElement
 from aschur.tensor import (
     act_expr_basis,
     render_basis,
@@ -136,6 +140,22 @@ def test_omega_negative_control():
     rep = verify_identity(n, r, _corrupted_tau_quadratic(n, r))
     assert not rep.passed
     assert rep.counterexample.split(" -> ")[0] in {render_basis(b) for b in domain}
+
+
+def test_q18_negative_control():
+    # q17-19's row Q18, phi^s phi^1_{omega,lam} = q phi^1_{omega,lam}, with
+    # v in place of q FAILs, and its counterexample is lhs - rhs
+    n, r = 3, 2
+    om, lam, e = omega(n, r), Weight((2, 0, 0)), AffinePerm.identity(r)
+    x = SchurElement.basis(SchurBasisIndex(om, lam, e))
+    (inst,) = [i for i in suite("q17-19", n, r)
+               if i.name == "Q18" and i.params == {"lam": lam.render(), "i": 1}]
+    assert inst.rhs == x.scaled(LaurentPoly.q()) and verify_schur_relation(inst).passed
+    bad = RelationInstance("Q18-corrupted", "phi^s phi^1_{omega,lam} = v phi^1_{omega,lam}",
+                           inst.lhs, x.scaled(LaurentPoly.v()), inst.params, domain="phi")
+    (rep,) = verify_all(n, r, [bad])
+    assert not rep.passed
+    assert rep.counterexample == (bad.lhs - bad.rhs).render() != "0"
 
 
 def _window_verdict(n: int, r: int, inst: RelationInstance) -> bool:

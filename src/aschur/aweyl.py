@@ -510,11 +510,8 @@ def distinguished_tree(
 
 @lru_cache(maxsize=None)
 def _shared(w: AffinePerm) -> AffinePerm:
-    """The first element equal to w passed here.  The cached double cosets
-    share their members through it, and the phi products the d of the
-    indices they return: over one pass of the schur-products benchmark
-    (seed 9101), the expansion kept 4,857 pivots but only 199 distinct
-    elements."""
+    """The first element equal to w passed here: the cached double cosets
+    share their members through it."""
     return w
 
 

@@ -176,8 +176,7 @@ def fold_tree(
 def young_parabolic(lam: Weight) -> ParabolicIndex:
     """Generator indices of the Young subgroup S_lambda inside S_r.
 
-    s_i belongs iff i and i+1 fall in the same block of lambda, i <= r-1.
-    Cached: the phi products ask for the same few weights again and again.
+    s_i belongs iff i and i+1 fall in the same block of lambda, i <= r-1 (cached).
 
     >>> sorted(young_parabolic(Weight((2, 1, 0))).gens)
     [1]

@@ -20,23 +20,23 @@ contributes its coefficient to each distinguished member of its coset
 and to nothing else.  The expansion reads each coefficient off the
 minimal member of its double coset and removes all its members at once;
 a value that is not such a combination is an internal error and raises.
-From the trees to the expansion a product runs on bare windows at one
-rho power: the trees are cached on plain values
-(`aweyl.distinguished_tree`), and only a pivot that the expansion keeps
-becomes an element and an index.
+From the trees (cached on plain values, `aweyl.distinguished_tree`) to
+the expansion a product runs on bare windows at one rho power.  S^a is
+block-sparse, the sum of the 1_lambda S^a 1_mu, and so are the data: an
+index is the tuple (lambda parts, mu parts, rho power of d, window of d),
+and a product pairs terms only through their middle weight.
 `phi_value`, the Hecke product and the expansion on whole cosets stay as
 the independent route that the tests compare with.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .aweyl import (
     AffinePerm,
     Window,
-    _shared,
     _trusted,
+    _window_length,
     descends_left,
     distinguished_tree,
     double_coset_min,
@@ -55,21 +55,30 @@ class BasisExpansionError(RuntimeError):
     """The value is not a combination of double-coset sums."""
 
 
-@dataclass(frozen=True)
-class SchurBasisIndex:
-    """(lambda, mu, d) with d minimal in S_lambda d S_mu."""
+Parts = tuple[int, ...]
+_weight = lru_cache(maxsize=None)(Weight)  # one Weight per parts tuple
 
-    lam: Weight
-    mu: Weight
-    d: AffinePerm
 
-    def __post_init__(self):
-        if self.lam.n != self.mu.n or self.lam.r != self.mu.r:
+@lru_cache(maxsize=None)
+def _gens(parts: Parts) -> frozenset[int]:  # the generators of S_lambda
+    return young_parabolic(Weight(parts)).gens
+
+
+class SchurBasisIndex(tuple):
+    """(lambda, mu, d) with d minimal in S_lambda d S_mu, held as the tuple
+    (lambda parts, mu parts, rho power of d, window of d); lam, mu and d
+    are read-only views."""
+
+    __slots__ = ()
+
+    def __new__(cls, lam: Weight, mu: Weight, d: AffinePerm) -> SchurBasisIndex:
+        if lam.n != mu.n or lam.r != mu.r:
             raise ValueError("weights must share (n, r)")
-        if self.lam.r != self.d.r:
+        if lam.r != d.r:
             raise ValueError("permutation period must equal r")
-        if not is_double_coset_min(self.d, young_parabolic(self.lam), young_parabolic(self.mu)):
+        if not is_double_coset_min(d, young_parabolic(lam), young_parabolic(mu)):
             raise ValueError("d is not minimal in its double coset")
+        return tuple.__new__(cls, (lam.parts, mu.parts, d.z, d.window))
 
     @classmethod
     def make(cls, lam: Weight, mu: Weight, d: AffinePerm) -> SchurBasisIndex:
@@ -78,15 +87,16 @@ class SchurBasisIndex:
         return cls(lam, mu, dmin)
 
     @classmethod
-    def _trusted(cls, lam: Weight, mu: Weight, d: AffinePerm) -> SchurBasisIndex:
-        """The index for a d its caller has checked: the frozen fields are
-        set directly and __post_init__ is not run."""
-        idx = object.__new__(cls)
-        fields = idx.__dict__
-        fields["lam"] = lam
-        fields["mu"] = mu
-        fields["d"] = d
-        return idx
+    def _trusted(cls, lam: Parts, mu: Parts, z: int, window: Window) -> SchurBasisIndex:
+        """The index of rho^z w from plain values its caller has checked."""
+        return tuple.__new__(cls, (lam, mu, z, window))
+
+    lam = property(lambda self: _weight(self[0]))
+    mu = property(lambda self: _weight(self[1]))
+    d = property(lambda self: _trusted(len(self[3]), self[2], self[3]))
+
+    def __getnewargs__(self):  # copy and pickle rebuild through the checks
+        return self.lam, self.mu, self.d
 
     def render(self) -> str:
         return f"phi[{self.lam.render()} | {self.d.render()} | {self.mu.render()}]"
@@ -105,10 +115,8 @@ class SchurElement(Combination):
     __slots__ = ()
 
     def __init__(self, n: int, r: int, terms: dict[SchurBasisIndex, LaurentPoly] | None = None):
-        if terms:
-            for k in terms:
-                if k.lam.n != n or k.lam.r != r:
-                    raise ValueError("index does not match (n, r)")
+        if terms and any(len(k[0]) != n or sum(k[0]) != r for k in terms):
+            raise ValueError("index does not match (n, r)")
         Combination.__init__(self, _space(n, r), terms)
 
     @property
@@ -124,20 +132,19 @@ class SchurElement(Combination):
         return cls(idx.lam.n, idx.lam.r, {idx: LaurentPoly.one()})
 
     def support(self) -> list[SchurBasisIndex]:
-        return sorted(
-            self.terms,
-            key=lambda k: (k.lam.parts, k.mu.parts, k.d.length(), k.d.z, k.d.window),
-        )
+        return sorted(self.terms, key=lambda k: (k[0], k[1], _window_length(k[3]), k[2], k[3]))
 
     # -- multiplication -----------------------------------------------------------
 
     def __mul__(self, other: SchurElement) -> SchurElement:
         self._check_space(other)
+        # phi_A phi_B = 0 unless A's second weight is B's first: pair by it
+        blocks: dict[Parts, list[tuple[SchurBasisIndex, LaurentPoly]]] = {}
+        for k2, c2 in other.terms.items():
+            blocks.setdefault(k2[0], []).append((k2, c2))
         out: dict[SchurBasisIndex, LaurentPoly] = {}
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                if k1.mu != k2.lam:
-                    continue
+            for k2, c2 in blocks.get(k1[1], ()):
                 c = c1 * c2
                 unit = c.is_one()
                 for k, x in _mul_basis(k1, k2).terms.items():
@@ -188,21 +195,19 @@ def _mul_basis(k1: SchurBasisIndex, k2: SchurBasisIndex) -> SchurElement:
     member windows of h_1 (rho power z), conjugated by rho^k, are folded
     along the tree of the members of h_2 (rho power k) by
     `hecke.fold_tree`, and the folded {window: coefficient} dict, at rho
-    power z + k, is expanded on distinguished members.  Both trees are
-    looked up by plain values (`aweyl.distinguished_tree`), as the d of an
-    index is minimal; no element is built before the expansion keeps a
-    pivot.
+    power z + k, is expanded on distinguished members.  Everything is read
+    off the plain fields of the indices: both trees are looked up by plain
+    values (`aweyl.distinguished_tree`), as the d of an index is minimal,
+    and the generator sets by the parts of the weights.
     """
-    pil = young_parabolic(k1.lam)
-    d1, d2 = k1.d, k2.d
-    z, k = d1.z, d2.z
-    members = distinguished_tree(pil.gens, z, d1.window, young_parabolic(k1.mu).gens)[0]
+    lam, mu, z, w1 = k1
+    mid, nu, k, w2 = k2
+    gens = _gens(lam)
+    members = distinguished_tree(gens, z, w1, _gens(mu))[0]
     start = dict.fromkeys((rho_conjugate(w, k) for w in members) if k else members, ONE)
-    tree = distinguished_tree(
-        young_parabolic(k2.lam).gens, k, d2.window, young_parabolic(k2.mu).gens
-    )
-    folded = fold_tree(start, tree, left_slots(pil.gens, z + k, d1.r))
-    return expand_in_basis(k1.lam, k2.mu, folded, True, z + k)
+    tree = distinguished_tree(_gens(mid), k, w2, _gens(nu))
+    folded = fold_tree(start, tree, left_slots(gens, z + k, len(w1)))
+    return expand_in_basis(_weight(lam), _weight(nu), folded, True, z + k)
 
 
 def expand_in_basis(
@@ -227,8 +232,9 @@ def expand_in_basis(
     with another coefficient raises BasisExpansionError, and so does a
     term left over at the end: no pivot's coset holds it, so the minimal
     member of its own coset is missing.  The value is accepted exactly
-    when it is a combination of coset sums.  An element is built for each
-    pivot kept, and for the one an error message names.
+    when it is a combination of coset sums.  Each pivot kept becomes an
+    index straight from its plain values; an element is built only for
+    the one an error message names.
 
     With distinguished, value is an element of the module x_lambda H, by
     its coefficients on the basis x_lambda T_b (b in D_lambda), and phi^d
@@ -246,8 +252,7 @@ def expand_in_basis(
     if hecke:
         for w, c in value.terms.items():
             groups.setdefault(w.z, {})[w.window] = c
-    pil, pim = young_parabolic(lam), young_parabolic(mu)
-    gens1, gens2 = pil.gens, pim.gens
+    gens1, gens2 = _gens(lam.parts), _gens(mu.parts)
     right = sorted(gens2)
     out: dict[SchurBasisIndex, LaurentPoly] = {}
     for z, rem in groups.items():
@@ -262,6 +267,7 @@ def expand_in_basis(
             if distinguished:
                 members = distinguished_tree(gens1, z, w, gens2)[0]
             else:
+                pil, pim = young_parabolic(lam), young_parabolic(mu)
                 members = [b.window for b in enumerate_double_coset(pil, _trusted(r, z, w), pim)]
             for b in members:
                 x = rem.pop(b, None)
@@ -270,9 +276,7 @@ def expand_in_basis(
                         f"coset of {_trusted(r, z, w).render()}: {_trusted(r, z, b).render()} "
                         f"has coefficient {'none' if x is None else x.render()}, not {c.render()}"
                     )
-            # The index keeps d alive: hold the copy that the cached cosets
-            # and earlier products share, not a fresh one from each product.
-            out[SchurBasisIndex._trusted(lam, mu, _shared(_trusted(r, z, w)))] = c
+            out[SchurBasisIndex._trusted(lam.parts, mu.parts, z, w)] = c
         if rem:
             w = next(iter(rem))
             raise BasisExpansionError(

@@ -6,8 +6,10 @@ on its own with
     PYTHONPATH=src python -m pytest tests/bench_phi_products.py -p no:cacheprovider
 
 It times `schur._mul_basis` on 64 seeded basis pairs at (n, r) = (5, 4),
-with warm caches, and one build of the q17-19 suite at (5, 4), which
-computes every phi product of its instances (after one warm-up build).
+with warm caches; `SchurElement.__mul__` on two sums over all weights at
+(5, 4), whose terms it pairs by middle weight; and one build of the
+q17-19 suite at (5, 4), which computes every phi product of its
+instances (after one warm-up build).
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ import random
 from aschur import present
 from aschur.aweyl import AffinePerm, double_coset_min
 from aschur.hecke import young_parabolic
-from aschur.schur import SchurBasisIndex, _mul_basis
+from aschur.ring import LaurentPoly
+from aschur.schur import SchurBasisIndex, SchurElement, _mul_basis, identity_element
 from aschur.weights import all_weights
 
 N, R = 5, 4
@@ -51,6 +54,17 @@ def test_mul_basis_pairs(benchmark):
 
     products = benchmark(run)
     assert len(products) == PAIRS and any(p.terms for p in products)
+
+
+def test_weight_summed_product(benchmark):
+    # the unit times the sum over all lam of phi^1_{lam,lam_+}: 126 terms
+    # each, of which every left term meets one right term
+    e = AffinePerm.identity(R)
+    x = SchurElement(N, R, {
+        SchurBasisIndex(lam, lam.rotated(), e): LaurentPoly.one() for lam in all_weights(N, R)
+    })
+    unit = identity_element(N, R)
+    assert benchmark(unit.__mul__, x) == x
 
 
 def test_q17_19_build(benchmark):

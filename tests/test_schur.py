@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -47,6 +49,27 @@ def test_phi_rejects_nonminimal_d():
         SchurBasisIndex(lam, lam, s1)
     idx = SchurBasisIndex.make(lam, lam, s1)  # normalized instead
     assert idx.d.is_identity()
+
+
+def test_index_guards():
+    e2 = AffinePerm.identity(2)
+    lam = Weight((2, 0, 0))
+    for mu in (Weight((1, 1)), Weight((1, 1, 1))):  # another n, another r
+        with pytest.raises(ValueError, match=r"weights must share \(n, r\)"):
+            SchurBasisIndex(lam, mu, e2)
+    with pytest.raises(ValueError, match="permutation period must equal r"):
+        SchurBasisIndex(lam, lam, AffinePerm.identity(3))
+    idx = SchurBasisIndex(lam, lam, e2)
+    for n, r in ((4, 2), (3, 3)):
+        with pytest.raises(ValueError, match=r"index does not match \(n, r\)"):
+            SchurElement(n, r, {idx: LaurentPoly.one()})
+    # the fields are read-only views of the plain tuple
+    assert (idx.lam, idx.mu, idx.d) == (lam, lam, e2)
+    with pytest.raises(AttributeError):
+        idx.d = AffinePerm.rho(2)
+    # copy and pickle rebuild the index through the checking constructor
+    for twin in (copy.deepcopy(idx), pickle.loads(pickle.dumps(idx))):
+        assert type(twin) is SchurBasisIndex and twin == idx
 
 
 def test_block_structure():
@@ -110,6 +133,42 @@ def test_identity_element():
         x = SchurElement.basis(SchurBasisIndex(lam, mu, d))
         assert unit * x == x
         assert x * unit == x
+
+
+def _seeded_sum(rng, pairs, count, elems):
+    # a sum at (4, 3) of count basis elements phi^d_{lam,mu}, (lam, mu)
+    # drawn from pairs, with coefficients +-v^k and +-2v^k
+    x = SchurElement(4, 3)
+    for _ in range(count):
+        lam, mu = rng.choice(pairs)
+        idx = SchurBasisIndex.make(lam, mu, rng.choice(elems).mul_rho_left(rng.randint(-1, 1)))
+        c = LaurentPoly.v(rng.randint(-2, 2), rng.choice((1, -1, 2, -2)))
+        x = x + SchurElement.basis(idx).scaled(c)
+    return x
+
+
+def test_products_pair_terms_by_middle_weight():
+    # multi-term elements at (4, 3) spread over several (lam, mu) blocks,
+    # against the products of their terms taken basis by basis
+    rng = random.Random(4303)
+    elems = list(enumerate_up_to_length(3, 2))
+    a, b, c, d, e = rng.sample(all_weights(4, 3), 5)
+    x = _seeded_sum(rng, [(a, b), (a, c), (b, c), (c, b), (d, a), (b, b)], 14, elems)
+    y = _seeded_sum(rng, [(b, a), (c, d), (b, c), (c, c), (a, e), (e, b)], 14, elems)
+    assert len({(k.lam, k.mu) for k in x.terms}) >= 4
+    unit = identity_element(4, 3)
+    assert unit * x == x == x * unit
+    want = SchurElement(4, 3)
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            if k1.mu == k2.lam:
+                want = want + _mul_basis(k1, k2).scaled(c1 * c2)
+    got = x * y
+    assert got == want and not got.is_zero()
+    # blocks that never meet: the first weights of z, d and e, are none of
+    # the second weights a, b, c of x, though z's second weights are
+    z = _seeded_sum(rng, [(d, b), (e, c), (d, a), (e, b)], 8, elems)
+    assert x * z == SchurElement(4, 3)
 
 
 def test_hecke_embedding_is_multiplicative_small():

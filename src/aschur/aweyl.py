@@ -303,6 +303,20 @@ def right_step(window: tuple[int, ...], i: int) -> tuple[tuple[int, ...], bool]:
     return tuple(win), pos_i < pos_i1
 
 
+def ascends_right(window: tuple[int, ...], i: int) -> bool:
+    """Whether l(w s_i) > l(w): right_step's bit, without the stepped window."""
+    r = len(window)
+    if r == 1:
+        raise ValueError("at r = 1 there is no generator s_i: W is trivial")
+    bi, bi1 = i % r, (i + 1) % r
+    for t, x in enumerate(window, 1):
+        if x % r == bi:
+            pos_i = t - (x - i)
+        elif x % r == bi1:
+            pos_i1 = t - (x - i - 1)
+    return pos_i < pos_i1
+
+
 @lru_cache(maxsize=None)
 def _window_length(window: tuple[int, ...]) -> int:
     r = len(window)
@@ -376,7 +390,7 @@ def is_distinguished_right(d: AffinePerm, pi: ParabolicIndex) -> bool:
 def is_double_coset_min(d: AffinePerm, pi1: ParabolicIndex, pi2: ParabolicIndex) -> bool:
     """d minimal in W_pi1 d W_pi2: no s in pi1 descends on the left and
     no s in pi2 on the right."""
-    return is_distinguished_right(d, pi1) and all(right_step(d.window, i)[1] for i in pi2.gens)
+    return is_distinguished_right(d, pi1) and all(ascends_right(d.window, i) for i in pi2.gens)
 
 
 def coset_decompose(
@@ -491,7 +505,7 @@ def distinguished_tree(
     """
     left = left_slots(gens1, z, len(window))
     right = sorted(gens2)
-    if descends_left(window, left) or not all(right_step(window, i)[1] for i in right):
+    if descends_left(window, left) or not all(ascends_right(window, i) for i in right):
         raise ValueError("the window is not minimal in its double coset")
     seen = {window}
     wins, parents, letters = [window], [-1], [0]

@@ -37,6 +37,7 @@ from .aweyl import (
     Window,
     _trusted,
     _window_length,
+    ascends_right,
     descends_left,
     distinguished_tree,
     double_coset_min,
@@ -44,7 +45,6 @@ from .aweyl import (
     is_double_coset_min,
     left_slots,
     rho_conjugate,
-    right_step,
 )
 from .hecke import HeckeElement, fold_tree, young_parabolic
 from .ring import ONE, Combination, LaurentPoly, add_term
@@ -258,9 +258,8 @@ def expand_in_basis(
     for z, rem in groups.items():
         left = left_slots(gens1, z, r)
         for w in list(rem):
-            if w not in rem or descends_left(w, left) or not all(
-                right_step(w, i)[1] for i in right
-            ):
+            if (w not in rem or descends_left(w, left)
+                    or not all(ascends_right(w, i) for i in right)):
                 continue  # removed with an earlier pivot's coset, or not a pivot
             c = rem[w]
             coeffs = c._c  # compared as dicts: LaurentPoly equality less its type checks

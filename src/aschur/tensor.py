@@ -2,7 +2,7 @@
 
 The module V has basis e_t for every integer t; its r-fold tensor power
 has basis e_{t_1} x ... x e_{t_r} encoded as integer tuples.  Vectors are
-sparse maps from basis tuples to Laurent polynomials.
+sparse maps from basis tuples to nonzero Laurent polynomials.
 
 The one-factor action (indices read mod n):
 
@@ -14,6 +14,11 @@ position j carries the grouplike twist K_i K_{i+1}^-1 on every position
 after j, and the F_i term carries the inverse twist on every position
 before j.  The classical generators e_i, f_i act by the same position
 sums with no twist, and H_i acts by the integer weight entry.
+
+So every one-step coefficient is a monomial m v^e.  The one cache,
+`_act_basis`, gives (target, v-exponent, multiplier) triples keyed on
+plain values, and a word runs on a flat vector {(basis, v-exponent): int};
+only the returned vector is built of LaurentPolys.
 
 Every symbol's coefficients and targets depend only on the residues
 t_j mod n, and it moves entries by fixed displacements.  So the action
@@ -60,9 +65,9 @@ def shift(b: Basis, k: int) -> Basis:
 
 
 @lru_cache(maxsize=None)
-def _act_basis(n: int, sym: Sym, b: Basis) -> tuple[tuple[Basis, LaurentPoly], ...]:
-    kind, i = sym.kind, sym.index
-    r = len(b)
+def _act_basis(n: int, kind: str, i: int, parts: tuple | None, b: Basis) -> tuple:
+    """The symbol (kind, index, projector weight parts) on e_b as
+    (target, v-exponent, multiplier) triples, cached on plain values."""
     ri, ri1 = residue(i, n), residue(i + 1, n)
     if kind in ("E", "F", "e", "f"):
         # E_i and e_i lower an entry of residue i + 1, F_i and f_i raise
@@ -72,63 +77,73 @@ def _act_basis(n: int, sym: Sym, b: Basis) -> tuple[tuple[Basis, LaurentPoly], .
         lower = kind in ("E", "e")
         src, step, sign = (ri1, -1, 1) if lower else (ri, 1, -1)
         out = []
-        for j in range(r):
+        for j in range(len(b)):
             if residue(b[j], n) == src:
                 exp = 0
                 if kind in ("E", "F"):
                     for t in b[j + 1 :] if lower else b[:j]:
                         rt = residue(t, n)
-                        if rt == ri:
-                            exp += sign
-                        elif rt == ri1:
-                            exp -= sign
-                out.append((b[:j] + (b[j] + step,) + b[j + 1 :], LaurentPoly.v(exp)))
+                        exp += sign if rt == ri else -sign if rt == ri1 else 0
+                out.append((b[:j] + (b[j] + step,) + b[j + 1 :], exp, 1))
         return tuple(out)
     if kind in ("K", "Kinv", "H"):
         # H_i is the v = 1 case of K_i: the count itself, not v^count
         count = sum(1 for t in b if residue(t, n) == ri)
         if kind == "H":
-            return ((b, LaurentPoly.const(count)),)
-        return ((b, LaurentPoly.v(count if kind == "K" else -count)),)
-    if kind == "R":
-        return ((shift(b, 1), LaurentPoly.one()),)
-    if kind == "Rinv":
-        return ((shift(b, -1), LaurentPoly.one()),)
+            return ((b, 0, count),) if count else ()
+        return ((b, count if kind == "K" else -count, 1),)
+    if kind in ("R", "Rinv"):
+        return ((shift(b, 1 if kind == "R" else -1), 0, 1),)
     if kind == "P":
-        if weight_of(n, b) == sym.weight:
-            return ((b, LaurentPoly.one()),)
-        return ()
+        return ((b, 0, 1),) if weight_of(n, b).parts == parts else ()
     raise ValueError(f"unknown symbol kind {kind!r}")
 
 
-def act_symbol(n: int, sym: Sym, vec: Vector) -> Vector:
-    out: Vector = {}
-    for b, c in vec.items():
-        for b2, c2 in _act_basis(n, sym, b):
-            add_term(out, b2, c * c2)
-    return out
+def _run(n: int, word: Word, flat: dict) -> dict:
+    """A word on a flat vector {(basis, v-exponent): int}, rightmost symbol first."""
+    for sym in reversed(word):
+        if not flat:
+            break
+        kind, i, w = sym.kind, sym.index, sym.weight
+        parts = None if w is None else w.parts
+        out = {}
+        get = out.get
+        for (b, e), m in flat.items():
+            for b2, e2, m2 in _act_basis(n, kind, i, parts, b):
+                key = (b2, e + e2)
+                out[key] = get(key, 0) + m * m2
+        flat = out
+    return flat
+
+
+def _vector(flat: dict) -> Vector:
+    """The vector of a flat one, without zero entries."""
+    polys: dict[Basis, dict[int, int]] = {}
+    for (b, e), m in flat.items():
+        if m:
+            polys.setdefault(b, {})[e] = m
+    return {b: LaurentPoly(c) for b, c in polys.items()}
 
 
 def act_word(n: int, word: Word, vec: Vector) -> Vector:
     """Apply a word of symbols, rightmost symbol first."""
-    for sym in reversed(word):
-        if not vec:
-            return {}
-        vec = act_symbol(n, sym, vec)
-    return vec
+    return _vector(_run(n, word, {(b, e): m for b, c in vec.items() for e, m in c.items()}))
 
 
-def act_expr(n: int, expr: OperatorExpr, vec: Vector) -> Vector:
-    out: Vector = {}
-    for word, coeff in expr.terms.items():
-        part = act_word(n, word, vec)
-        for b, c in part.items():
-            add_term(out, b, c * coeff)
-    return out
+def act_symbol(n: int, sym: Sym, vec: Vector) -> Vector:
+    return act_word(n, (sym,), vec)
 
 
 def act_expr_basis(n: int, expr: OperatorExpr, b: Basis) -> Vector:
-    return act_expr(n, expr, {b: LaurentPoly.one()})
+    """expr on e_b: each word runs flat, then takes its coefficient term by term."""
+    total = {}
+    get = total.get
+    for word, coeff in expr.terms.items():
+        for (b2, e), m in _run(n, word, {(b, 0): 1}).items():
+            for ce, cm in coeff.items():
+                key = (b2, e + ce)
+                total[key] = get(key, 0) + m * cm
+    return _vector(total)
 
 
 def vec_sub(a: Vector, b: Vector) -> Vector:
@@ -203,28 +218,19 @@ def tau(n: int, r: int, name: str, variant: str = "with-R") -> OperatorExpr:
         raise ValueError("these endomorphisms require n > r")
     if variant not in ("with-R", "R-free"):
         raise ValueError(f"unknown variant {variant!r}")
+    with_r = variant == "with-R"
     if name == "rho":
-        syms = chain("E", range(r, n))
-        if variant == "with-R":
-            syms = syms + [Rinv]
-        else:
-            syms = syms + chain("E", range(r - 1, 0, -1)) + [E(n)]
-        return OperatorExpr.word(syms)
+        tail = [Rinv] if with_r else chain("E", range(r - 1, 0, -1)) + [E(n)]
+        return OperatorExpr.word(chain("E", range(r, n)) + tail)
     if name == "rho-inv":
-        syms = chain("F", range(n, r, -1))
-        if variant == "with-R":
-            syms = syms + [R]
-        else:
-            syms = syms + chain("F", range(1, r + 1))
-        return OperatorExpr.word(syms)
+        tail = [R] if with_r else chain("F", range(1, r + 1))
+        return OperatorExpr.word(chain("F", range(n, r, -1)) + tail)
     if name.startswith("s"):
         if r == 1:
             raise ValueError("at r = 1 the affine Weyl group has no s_i")
         i = int(name[1:])
         if 1 <= i < r:
-            return OperatorExpr(
-                {(F(i), E(i)): LaurentPoly.v(1), (): LaurentPoly.const(-1)}
-            )
+            return OperatorExpr({(F(i), E(i)): LaurentPoly.v(1), (): LaurentPoly.const(-1)})
         if i == r:
             return (
                 tau(n, r, "rho", variant)

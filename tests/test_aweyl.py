@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from aschur.aweyl import (
     AffinePerm,
     ParabolicIndex,
+    ascends_right,
     coset_decompose,
     distinguished_members,
     distinguished_tree,
@@ -130,6 +131,21 @@ def test_fused_step_and_descents_match_length_exhaustively():
                         u.mul_gen_left(i).length() < ell), (u, i)
                     cases += 1
     assert cases > 20_000
+
+
+def test_ascends_right_matches_right_step():
+    # the direction bit alone, on the inputs of the exhaustive test above
+    cases = 0
+    for r in range(2, 7):
+        for w in enumerate_up_to_length(r, 5):
+            for z in range(-2, 3):
+                window = w.mul_rho_left(z).window
+                for i in range(1, r + 1):
+                    assert ascends_right(window, i) == right_step(window, i)[1], (window, i)
+                    cases += 1
+    assert cases > 20_000
+    with pytest.raises(ValueError, match="no generator"):
+        ascends_right((1,), 1)
 
 
 def test_public_constructors_reject_invalid_windows():

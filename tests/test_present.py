@@ -4,6 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
+from aschur import tensor
 from aschur.aweyl import AffinePerm
 from aschur.operators import E, F, K, OperatorExpr, P, R, Sym
 from aschur.present import (
@@ -226,6 +227,37 @@ def test_domain_verdicts_match_window(n, r):
         assert b in list(vectors)
         diff = vec_sub(act_expr_basis(n, inst.lhs, b), act_expr_basis(n, inst.rhs, b))
         assert diff and rep.counterexample == f"{render_basis(b)} -> {render_vector(diff)}"
+
+
+_REAL_ACT = tensor._act_basis
+
+
+def _negated_e(n, kind, i, parts, b):
+    return tuple((t, -e if kind == "E" else e, m) for t, e, m in _REAL_ACT(n, kind, i, parts, b))
+
+
+def _f_off_by_one(n, kind, i, parts, b):
+    return _REAL_ACT(n, kind, i + 1 if kind == "F" else i, parts, b)
+
+
+@pytest.mark.parametrize("mutant,fails,first,counterexample", [
+    (_negated_e, 9, ("Q5", {"i": 1, "j": 1}), "e[1,1] -> (-v + v^-1)*e[1,1]"),
+    (_f_off_by_one, 15, ("Q4", {"i": 1, "j": 1}), "e[1,2] -> (v - 1)*e[1,3]"),
+])
+def test_kernel_mutants_fail_qaffine(monkeypatch, mutant, fails, first, counterexample):
+    # a flipped E twist or an F that reads residue i + 1 in the one-step
+    # table must make the relations FAIL, and the first counterexample
+    # replays through the mutated kernel
+    n, r = 3, 2
+    monkeypatch.setattr(tensor, "_act_basis", mutant)
+    failed = [rep for rep in run_suite("qaffine", n, r) if not rep.passed]
+    assert len(failed) == fails
+    rep = failed[0]
+    assert (rep.name, rep.params) == first and rep.counterexample == counterexample
+    (inst,) = [i for i in suite("qaffine", n, r) if (i.name, i.params) == first]
+    b = tuple(int(t) for t in rep.counterexample.split(" -> ")[0][2:-1].split(","))
+    diff = vec_sub(act_expr_basis(n, inst.lhs, b), act_expr_basis(n, inst.rhs, b))
+    assert f"{render_basis(b)} -> {render_vector(diff)}" == counterexample
 
 
 def test_commute_projector():

@@ -1,13 +1,15 @@
 import random
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aschur.operators import E, F, K, Kinv, OperatorExpr, P, R, Rinv, Sym, cH, ce, cf
 from aschur.present import source_weights, touched_residues
-from aschur.ring import LaurentPoly, add_term, signed_quantum_int
+from aschur.ring import LaurentPoly, add_term, quantum_int, signed_quantum_int
 from aschur.tensor import (
+    _act_basis,
     act_expr_basis,
     act_symbol,
     act_word,
@@ -222,6 +224,72 @@ def test_act_word_composition():
     assert lhs == rhs
     assert act_word(n, (), unit(b)) == unit(b)
     assert act_expr_basis(n, OperatorExpr.word([K(1), Kinv(1)]), b) == unit(b)
+
+
+def _reference_act(n, expr, b):
+    """act_expr_basis by LaurentPoly sums over the one-step triples."""
+    out = {}
+    for word, coeff in expr.terms.items():
+        vec = {b: coeff}
+        for sym in reversed(word):
+            parts = None if sym.weight is None else sym.weight.parts
+            step = {}
+            for b1, c in vec.items():
+                for b2, e, m in _act_basis(n, sym.kind, sym.index, parts, b1):
+                    add_term(step, b2, c * LaurentPoly.v(e, m))
+            vec = step
+        for b2, c in vec.items():
+            add_term(out, b2, c)
+    return out
+
+
+COEFFS = [ONE, LaurentPoly.q() - 1, quantum_int(2), LaurentPoly.v(3, -1)]
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 2)])
+def test_flat_word_loop_matches_laurent_reference(n, r):
+    # seeded sums of up to three words of length <= 4 over every symbol
+    # kind, with the coefficients +-1, +-(q - 1), +-[2] and +-v^3, and no
+    # zero coefficient in what comes back
+    rng = random.Random(18 + n)
+    kinds = ["E", "F", "K", "Kinv", "R", "Rinv", "P", "e", "f", "H"]
+    weights = all_weights(n, r)
+
+    def symbol():
+        kind = rng.choice(kinds)
+        if kind == "P":
+            return P(rng.choice(weights))
+        return {"R": R, "Rinv": Rinv}.get(kind) or Sym(kind, rng.randint(1, n))
+
+    nonzero = 0
+    for _ in range(600):
+        expr = OperatorExpr({
+            tuple(symbol() for _ in range(rng.randint(0, 4))): rng.choice(COEFFS) * rng.choice((1, -1))
+            for _ in range(rng.randint(1, 3))
+        })
+        b = tuple(rng.randint(1, n) for _ in range(r))
+        out = act_expr_basis(n, expr, b)
+        assert out == _reference_act(n, expr, b), (expr.render(), b)
+        assert all(c for c in out.values())  # no zero coefficient is stored
+        nonzero += bool(out)
+    assert nonzero > 200
+
+
+def test_flat_word_loop_drops_zeros():
+    # H_i counts residue i, so it kills a tensor with no such entry; a
+    # difference of equal words, or of two terms with one image, cancels
+    # to the empty vector
+    assert act_expr_basis(3, OperatorExpr.word([cH(3)]), (1, 2)) == {}
+    assert act_expr_basis(4, OperatorExpr.word([E(1), cH(2)]), (1, 4)) == {}
+    x = OperatorExpr.word([E(1), F(2)], quantum_int(2)) + OperatorExpr.word([K(1)])
+    assert act_expr_basis(3, x - x, (1, 2)) == {}
+    # both words send e[1,2] to v^-1 e[1,2] + e[2,1]: [lam_1 - lam_2] = 0
+    y = OperatorExpr.word([E(1), F(1)]) - OperatorExpr.word([F(1), E(1)])
+    assert act_expr_basis(3, OperatorExpr.word([E(1), F(1)]), (1, 2)) == {(1, 2): V.bar(), (2, 1): ONE}
+    assert act_expr_basis(3, y, (1, 2)) == {}
+    # F_1 sends both e[1,2] and v^-1 e[2,1] to e[2,2]
+    assert act_word(3, (F(1),), {(1, 2): V, (2, 1): -ONE}) == {}
+    assert act_word(3, (F(1),), {(1, 2): V, (2, 1): -V}) == {(2, 2): V - V * V}
 
 
 def test_weight_space_basis():

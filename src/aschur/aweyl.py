@@ -7,8 +7,8 @@ s_1, ..., s_r consists of the bijections w of ZZ with
     (t + r)w = (t)w + r      and      sum_{t=1..r} (t)w = r(r+1)/2,
 
 and the extended group adds the rotation rho: t -> t + 1.  Every element
-is uniquely rho^z * w with w in W; we store that pair, with w recorded by
-its window ((1)w, ..., (r)w).
+is uniquely rho^z * w with w in W; an AffinePerm is the validated tuple
+(r, z, window), with w recorded by its window ((1)w, ..., (r)w).
 
 Length ignores the rho part.  It is computed by the inversion formula
 
@@ -43,6 +43,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Literal
 
 from .weights import residue
@@ -69,9 +70,9 @@ class ParabolicIndex:
         return ParabolicIndex(self.r, frozenset(residue(i + t, self.r) for i in self.gens))
 
 
-@dataclass(frozen=True)
-class AffinePerm:
-    """rho^z * w with w in W given by its window ((1)w, ..., (r)w).
+class AffinePerm(tuple):
+    """rho^z * w with w in W given by its window ((1)w, ..., (r)w), held as
+    the validated tuple (r, z, window); r, z and window are read-only views.
 
     >>> AffinePerm.s(3, 1).window
     (2, 1, 3)
@@ -79,18 +80,23 @@ class AffinePerm:
     6
     """
 
-    r: int
-    z: int
-    window: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        r = self.r
-        if len(self.window) != r:
+    def __new__(cls, r: int, z: int, window: tuple[int, ...]) -> AffinePerm:
+        if len(window) != r:
             raise ValueError("window must have r entries")
-        if len({w % r for w in self.window}) != r:
+        if len({w % r for w in window}) != r:
             raise ValueError("window entries must be distinct mod r")
-        if sum(self.window) != r * (r + 1) // 2:
+        if sum(window) != r * (r + 1) // 2:
             raise ValueError("window must sum to r(r+1)/2")
+        return tuple.__new__(cls, (r, z, window))
+
+    r = property(itemgetter(0))
+    z = property(itemgetter(1))
+    window = property(itemgetter(2))
+
+    def __getnewargs__(self):  # copy and pickle rebuild through the checks
+        return tuple(self)
 
     # -- constructors --------------------------------------------------------
 
@@ -166,7 +172,7 @@ class AffinePerm:
     # -- cheap one-sided multiplications ---------------------------------------
     #
     # These four map a valid element to a valid one, so they build their
-    # result through _trusted, without the checks of __post_init__.
+    # result through _trusted, without the checks of the constructor.
 
     def mul_gen_right(self, i: int) -> AffinePerm:
         """u * s_i without renormalization (acts on window values)."""
@@ -227,14 +233,9 @@ class AffinePerm:
 
 
 def _trusted(r: int, z: int, window: tuple[int, ...]) -> AffinePerm:
-    """AffinePerm(r, z, window) for a window known to be valid: the frozen
-    fields are set directly and __post_init__ is not run."""
-    u = object.__new__(AffinePerm)
-    fields = u.__dict__
-    fields["r"] = r
-    fields["z"] = z
-    fields["window"] = window
-    return u
+    """AffinePerm(r, z, window) for a window known to be valid, without
+    the checks."""
+    return tuple.__new__(AffinePerm, (r, z, window))
 
 
 # -- bare windows ------------------------------------------------------------

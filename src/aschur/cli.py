@@ -60,7 +60,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_word(text: str, n: int) -> tuple[Sym, ...]:
-    """Words like 'E1 F2 K3 Kinv1 R Rinv P(1,1,0) e1 f2 H3'; indices in 1..n."""
+    """Words like 'E1 F2 K3 Kinv1 R Rinv P(1,1,0) e1 f2 H3'; indices in 1..n.
+    K1^-1 and R^-1, the spellings of `Sym.render`, read as Kinv1 and Rinv."""
     syms: list[Sym] = []
     for tok in text.split():
         if tok == "R":
@@ -71,6 +72,8 @@ def _parse_word(text: str, n: int) -> tuple[Sym, ...]:
             syms.append(P(parse_weight(tok[1:])))
         elif tok.startswith("Kinv"):
             syms.append(Kinv(int(tok[4:])))
+        elif tok.startswith("K") and tok.endswith("^-1"):
+            syms.append(Kinv(int(tok[1:-3])))
         elif tok[0] in "EFKefH":
             syms.append(Sym(tok[0], int(tok[1:])))
         else:

@@ -184,7 +184,7 @@ def young_parabolic(lam: Weight) -> ParabolicIndex:
     r = lam.r
     cuts = set()
     total = 0
-    for p in lam.parts:
+    for p in lam:
         total += p
         cuts.add(total)
     gens = frozenset(i for i in range(1, r) if i not in cuts)

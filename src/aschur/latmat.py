@@ -86,7 +86,7 @@ def row_col_sums(a: PeriodicMatrix) -> tuple[Weight, Weight]:
     for i, j, v in a.entries:
         rows[i - 1] += v
         cols[(j - 1) % a.n] += v
-    return Weight(tuple(rows)), Weight(tuple(cols))
+    return Weight(rows), Weight(cols)
 
 
 def d_stat(a: PeriodicMatrix) -> int:
@@ -128,7 +128,7 @@ def _blocks(lam: Weight) -> list[tuple[int, int]]:
     """Half-open block extents (lo, hi] of [1, r] cut by lambda."""
     out = []
     acc = 0
-    for p in lam.parts:
+    for p in lam:
         out.append((acc, acc + p))
         acc += p
     return out

@@ -2,13 +2,13 @@
 
 A word is a tuple of symbols drawn from E_i, F_i, K_i^{+-1}, R^{+-1},
 weight projectors P(lambda), and the classical generators e_i, f_i, H_i.
+A symbol is the named tuple (kind, index, projector weight).
 Words multiply by concatenation and act on tensor space by applying the
 rightmost symbol first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .ring import Combination, LaurentPoly, add_term
 from .weights import Weight
@@ -16,8 +16,10 @@ from .weights import Weight
 Kind = str  # 'E','F','K','Kinv','R','Rinv','P','e','f','H'
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(NamedTuple):
+    """A symbol, the tuple (kind, index, projector weight): index for the
+    indexed kinds, the weight for P and None otherwise."""
+
     kind: Kind
     index: int = 0
     weight: Weight | None = None

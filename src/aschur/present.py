@@ -159,18 +159,18 @@ def source_weights(n: int, r: int, word: Word) -> tuple[Weight, ...] | None:
     ()
     """
     pin: tuple[int, ...] | None = None  # the weight just right of the symbols read so far
-    for s in word:
-        if s.kind == "P":
-            if s.weight.n != n or pin not in (None, s.weight.parts):
+    for kind, i, lam in word:
+        if kind == "P":
+            if lam.n != n or pin not in (None, lam):
                 return ()
-            pin = s.weight.parts
+            pin = lam
         elif pin is None:
             continue
-        elif s.kind in ("E", "e", "F", "f"):
-            pin = plus_alpha_parts(pin, s.index, -1 if s.kind in ("E", "e") else 1)
-        elif s.kind == "R":
+        elif kind in ("E", "e", "F", "f"):
+            pin = plus_alpha_parts(pin, i, -1 if kind in ("E", "e") else 1)
+        elif kind == "R":
             pin = pin[1:] + pin[:1]
-        elif s.kind == "Rinv":
+        elif kind == "Rinv":
             pin = pin[-1:] + pin[:-1]
     if pin is None:
         return None
@@ -188,12 +188,12 @@ def touched_residues(n: int, word: Word) -> set[int] | None:
     [1, 2, 4]
     """
     out: set[int] = set()
-    for s in word:
-        if s.kind in ("P", "R", "Rinv"):
+    for kind, i, _ in word:
+        if kind in ("P", "R", "Rinv"):
             return None
-        out.add(residue(s.index, n))
-        if s.kind in ("E", "F", "e", "f"):
-            out.add(residue(s.index + 1, n))
+        out.add(residue(i, n))
+        if kind in ("E", "F", "e", "f"):
+            out.add(residue(i + 1, n))
     return out
 
 
@@ -243,7 +243,7 @@ def verification_domain(n: int, r: int, inst: RelationInstance) -> tuple[Iterabl
             break
         spaces.update(pinned)
     else:
-        ordered = sorted(spaces, key=lambda lam: lam.parts, reverse=True)
+        ordered = sorted(spaces, reverse=True)
         names = " ".join(lam.render() for lam in ordered) or "none (every term is zero)"
         return ([b for lam in ordered for b in _weight_space(n, lam)],
                 f"weight spaces {names} with indices in [1,{n}]{complete}")
@@ -727,7 +727,7 @@ _EN_TEXT = "den E_n 1_lam = num sigma(W) E_n M"
 
 def _en_factorization(n: int, r: int) -> Iterator[Instance]:
     for lam in all_weights(n, r):
-        if lam.parts[0] > 0:
+        if lam[0] > 0:
             lhs, rhs, _, _ = en_factorization_sides(n, r, lam)
             yield {"lam": lam.render()}, lhs, rhs
 
@@ -1034,7 +1034,7 @@ def distinguished_analyze(word: Word) -> AnalyzeResult:
         group = list(group)
         if kind == "P":
             for s in group:
-                if s.weight.parts != weight:
+                if s.weight != weight:
                     return _rejected(
                         f"projector {s.weight.render()} does not match the running weight {weight}")
             strict.extend(group)
@@ -1106,8 +1106,8 @@ def mu_from_lambda(lam: Weight) -> Weight:
     >>> mu_from_lambda(Weight((2, 0, 0, 3, 0, 0, 0, 0, 2))).parts
     (2, 3, 2, 0, 0, 0, 0, 0, 0)
     """
-    nz = [p for p in lam.parts if p > 0]
-    return Weight(tuple(nz) + (0,) * (lam.n - len(nz)))
+    nz = [p for p in lam if p > 0]
+    return Weight(nz + [0] * (lam.n - len(nz)))
 
 
 def nu_from_mu(mu: Weight) -> Weight:
@@ -1123,11 +1123,11 @@ def nu_from_mu(mu: Weight) -> Weight:
     acc = 0
     for i in range(r):
         a = 1 + acc
-        val = mu.parts[i] if i < n else 0
+        val = mu[i] if i < n else 0
         if a <= n:
             parts[a - 1] = val
         acc += val
-    return Weight(tuple(parts))
+    return Weight(parts)
 
 
 def build_M1(lam: Weight) -> tuple[OperatorExpr, Weight]:
@@ -1135,9 +1135,9 @@ def build_M1(lam: Weight) -> tuple[OperatorExpr, Weight]:
 
     Returns (M1, mu) with M1 = 1_mu (word in E_2..E_{n-1}) 1_lam.
     """
-    if lam.parts[0] <= 0:
+    if lam[0] <= 0:
         raise ValueError("requires lambda_1 > 0")
-    cur = list(lam.parts)
+    cur = list(lam)
     n = lam.n
     steps: list[tuple[int, int]] = []
     while True:
@@ -1149,7 +1149,7 @@ def build_M1(lam: Weight) -> tuple[OperatorExpr, Weight]:
                 break
         else:
             break
-    mu = Weight(tuple(cur))
+    mu = Weight(cur)
     syms: list[Sym] = [P(mu)]
     for i, c in reversed(steps):
         syms.extend(power(E(i), c))
@@ -1163,11 +1163,11 @@ def build_M2(mu: Weight) -> tuple[OperatorExpr, Weight]:
     Returns (M2, nu) with M2 = 1_nu (word in F_2..F_{n-2}) 1_mu.
     """
     nu = nu_from_mu(mu)
-    k = sum(1 for p in mu.parts if p > 0)
-    targets = [a + 1 for a, p in enumerate(nu.parts) if p > 0]
+    k = sum(1 for p in mu if p > 0)
+    targets = [a + 1 for a, p in enumerate(nu) if p > 0]
     apps: list[tuple[int, int]] = []  # rightmost block travels first
     for b in range(k, 1, -1):
-        c = mu.parts[b - 1]
+        c = mu[b - 1]
         for q in range(b, targets[b - 1]):
             apps.append((q, c))
     syms: list[Sym] = [P(nu)]
@@ -1185,7 +1185,7 @@ def build_M3(nu: Weight) -> OperatorExpr:
     n, r = nu.n, nu.r
     om = omega(n, r)
     syms: list[Sym] = [P(om)]
-    for a, c in enumerate(nu.parts, start=1):
+    for a, c in enumerate(nu, start=1):
         if c <= 1:
             continue
         for idx in range(a + c - 2, a - 1, -1):
@@ -1227,7 +1227,7 @@ def m_word_conditions(lam: Weight, m: OperatorExpr) -> dict[str, bool]:
         "no_banned_generators": cond_ii,
         "f1_consecutive": consecutive("F", 1),
         "en1_consecutive": consecutive("E", n - 1),
-        "f1_count_ok": f1_count <= lam.parts[0] - 1,
+        "f1_count_ok": f1_count <= lam[0] - 1,
     }
 
 
@@ -1247,7 +1247,7 @@ def en_factorization_sides(n: int, r: int, lam: Weight) -> tuple[
     tensor of weight lam that the latter does not annihilate; (0, 1) when
     it annihilates them all.
     """
-    if lam.parts[0] <= 0:
+    if lam[0] <= 0:
         raise ValueError("requires lambda_1 > 0")
     if n <= r:
         raise ValueError("requires n > r")

@@ -23,14 +23,16 @@ a value that is not such a combination is an internal error and raises.
 From the trees (cached on plain values, `aweyl.distinguished_tree`) to
 the expansion a product runs on bare windows at one rho power.  S^a is
 block-sparse, the sum of the 1_lambda S^a 1_mu, and so are the data: an
-index is the tuple (lambda parts, mu parts, rho power of d, window of d),
-and a product pairs terms only through their middle weight.
+index is the tuple (lambda, mu, rho power of d, window of d), every field a
+tuple or an int that hashes in C (a `Weight` is the validated tuple of its
+parts), and a product pairs terms only through their middle weight.
 `phi_value`, the Hecke product and the expansion on whole cosets stay as
 the independent route that the tests compare with.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .aweyl import (
     AffinePerm,
@@ -55,19 +57,10 @@ class BasisExpansionError(RuntimeError):
     """The value is not a combination of double-coset sums."""
 
 
-Parts = tuple[int, ...]
-_weight = lru_cache(maxsize=None)(Weight)  # one Weight per parts tuple
-
-
-@lru_cache(maxsize=None)
-def _gens(parts: Parts) -> frozenset[int]:  # the generators of S_lambda
-    return young_parabolic(Weight(parts)).gens
-
-
 class SchurBasisIndex(tuple):
     """(lambda, mu, d) with d minimal in S_lambda d S_mu, held as the tuple
-    (lambda parts, mu parts, rho power of d, window of d); lam, mu and d
-    are read-only views."""
+    (lambda, mu, rho power of d, window of d); lam, mu and d are read-only
+    views."""
 
     __slots__ = ()
 
@@ -78,7 +71,7 @@ class SchurBasisIndex(tuple):
             raise ValueError("permutation period must equal r")
         if not is_double_coset_min(d, young_parabolic(lam), young_parabolic(mu)):
             raise ValueError("d is not minimal in its double coset")
-        return tuple.__new__(cls, (lam.parts, mu.parts, d.z, d.window))
+        return tuple.__new__(cls, (lam, mu, d.z, d.window))
 
     @classmethod
     def make(cls, lam: Weight, mu: Weight, d: AffinePerm) -> SchurBasisIndex:
@@ -87,12 +80,12 @@ class SchurBasisIndex(tuple):
         return cls(lam, mu, dmin)
 
     @classmethod
-    def _trusted(cls, lam: Parts, mu: Parts, z: int, window: Window) -> SchurBasisIndex:
-        """The index of rho^z w from plain values its caller has checked."""
+    def _trusted(cls, lam: Weight, mu: Weight, z: int, window: Window) -> SchurBasisIndex:
+        """The index of rho^z w from values its caller has checked."""
         return tuple.__new__(cls, (lam, mu, z, window))
 
-    lam = property(lambda self: _weight(self[0]))
-    mu = property(lambda self: _weight(self[1]))
+    lam = property(itemgetter(0))
+    mu = property(itemgetter(1))
     d = property(lambda self: _trusted(len(self[3]), self[2], self[3]))
 
     def __getnewargs__(self):  # copy and pickle rebuild through the checks
@@ -139,7 +132,7 @@ class SchurElement(Combination):
     def __mul__(self, other: SchurElement) -> SchurElement:
         self._check_space(other)
         # phi_A phi_B = 0 unless A's second weight is B's first: pair by it
-        blocks: dict[Parts, list[tuple[SchurBasisIndex, LaurentPoly]]] = {}
+        blocks: dict[Weight, list[tuple[SchurBasisIndex, LaurentPoly]]] = {}
         for k2, c2 in other.terms.items():
             blocks.setdefault(k2[0], []).append((k2, c2))
         out: dict[SchurBasisIndex, LaurentPoly] = {}
@@ -163,8 +156,8 @@ class SchurElement(Combination):
     def structured(self) -> list[dict]:
         return [
             {
-                "lambda": list(k.lam.parts),
-                "mu": list(k.mu.parts),
+                "lambda": list(k.lam),
+                "mu": list(k.mu),
                 "d": k.d.structured(),
                 "coeff": self.terms[k].structured(),
             }
@@ -198,16 +191,16 @@ def _mul_basis(k1: SchurBasisIndex, k2: SchurBasisIndex) -> SchurElement:
     power z + k, is expanded on distinguished members.  Everything is read
     off the plain fields of the indices: both trees are looked up by plain
     values (`aweyl.distinguished_tree`), as the d of an index is minimal,
-    and the generator sets by the parts of the weights.
+    and the generator sets by the weights.
     """
     lam, mu, z, w1 = k1
     mid, nu, k, w2 = k2
-    gens = _gens(lam)
-    members = distinguished_tree(gens, z, w1, _gens(mu))[0]
+    gens = young_parabolic(lam).gens
+    members = distinguished_tree(gens, z, w1, young_parabolic(mu).gens)[0]
     start = dict.fromkeys((rho_conjugate(w, k) for w in members) if k else members, ONE)
-    tree = distinguished_tree(_gens(mid), k, w2, _gens(nu))
+    tree = distinguished_tree(young_parabolic(mid).gens, k, w2, young_parabolic(nu).gens)
     folded = fold_tree(start, tree, left_slots(gens, z + k, len(w1)))
-    return expand_in_basis(_weight(lam), _weight(nu), folded, True, z + k)
+    return expand_in_basis(lam, nu, folded, True, z + k)
 
 
 def expand_in_basis(
@@ -252,7 +245,8 @@ def expand_in_basis(
     if hecke:
         for w, c in value.terms.items():
             groups.setdefault(w.z, {})[w.window] = c
-    gens1, gens2 = _gens(lam.parts), _gens(mu.parts)
+    pil, pim = young_parabolic(lam), young_parabolic(mu)
+    gens1, gens2 = pil.gens, pim.gens
     right = sorted(gens2)
     out: dict[SchurBasisIndex, LaurentPoly] = {}
     for z, rem in groups.items():
@@ -266,7 +260,6 @@ def expand_in_basis(
             if distinguished:
                 members = distinguished_tree(gens1, z, w, gens2)[0]
             else:
-                pil, pim = young_parabolic(lam), young_parabolic(mu)
                 members = [b.window for b in enumerate_double_coset(pil, _trusted(r, z, w), pim)]
             for b in members:
                 x = rem.pop(b, None)
@@ -275,7 +268,7 @@ def expand_in_basis(
                         f"coset of {_trusted(r, z, w).render()}: {_trusted(r, z, b).render()} "
                         f"has coefficient {'none' if x is None else x.render()}, not {c.render()}"
                     )
-            out[SchurBasisIndex._trusted(lam.parts, mu.parts, z, w)] = c
+            out[SchurBasisIndex._trusted(lam, mu, z, w)] = c
         if rem:
             w = next(iter(rem))
             raise BasisExpansionError(

@@ -17,7 +17,9 @@ sums with no twist, and H_i acts by the integer weight entry.
 
 So every one-step coefficient is a monomial m v^e.  The one cache,
 `_act_basis`, gives (target, v-exponent, multiplier) triples keyed on
-plain values, and a word runs on a flat vector {(basis, v-exponent): int};
+plain values (a symbol is the tuple (kind, index, projector weight), and
+a weight the validated tuple of its parts), and a word runs on a flat
+vector {(basis, v-exponent): int};
 only the returned vector is built of LaurentPolys.
 
 Every symbol's coefficients and targets depend only on the residues
@@ -57,7 +59,7 @@ def weight_of(n: int, b: Basis) -> Weight:
     counts = [0] * n
     for t in b:
         counts[residue(t, n) - 1] += 1
-    return Weight(tuple(counts))
+    return Weight(counts)
 
 
 def shift(b: Basis, k: int) -> Basis:
@@ -66,8 +68,9 @@ def shift(b: Basis, k: int) -> Basis:
 
 @lru_cache(maxsize=None)
 def _act_basis(n: int, kind: str, i: int, parts: tuple | None, b: Basis) -> tuple:
-    """The symbol (kind, index, projector weight parts) on e_b as
-    (target, v-exponent, multiplier) triples, cached on plain values."""
+    """The symbol (kind, index, projector weight) on e_b as (target,
+    v-exponent, multiplier) triples, cached on plain values: a weight
+    hashes and compares as its parts."""
     ri, ri1 = residue(i, n), residue(i + 1, n)
     if kind in ("E", "F", "e", "f"):
         # E_i and e_i lower an entry of residue i + 1, F_i and f_i raise
@@ -95,21 +98,19 @@ def _act_basis(n: int, kind: str, i: int, parts: tuple | None, b: Basis) -> tupl
     if kind in ("R", "Rinv"):
         return ((shift(b, 1 if kind == "R" else -1), 0, 1),)
     if kind == "P":
-        return ((b, 0, 1),) if weight_of(n, b).parts == parts else ()
+        return ((b, 0, 1),) if weight_of(n, b) == parts else ()
     raise ValueError(f"unknown symbol kind {kind!r}")
 
 
 def _run(n: int, word: Word, flat: dict) -> dict:
     """A word on a flat vector {(basis, v-exponent): int}, rightmost symbol first."""
-    for sym in reversed(word):
+    for kind, i, w in reversed(word):
         if not flat:
             break
-        kind, i, w = sym.kind, sym.index, sym.weight
-        parts = None if w is None else w.parts
         out = {}
         get = out.get
         for (b, e), m in flat.items():
-            for b2, e2, m2 in _act_basis(n, kind, i, parts, b):
+            for b2, e2, m2 in _act_basis(n, kind, i, w, b):
                 key = (b2, e + e2)
                 out[key] = get(key, 0) + m * m2
         flat = out
@@ -195,7 +196,7 @@ def weight_space_basis(n: int, lam: Weight, lo: int, hi: int) -> list[Basis]:
                 acc.pop()
                 remaining[res - 1] += 1
 
-    rec(0, list(lam.parts), [])
+    rec(0, list(lam), [])
     return out
 
 

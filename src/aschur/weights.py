@@ -1,53 +1,58 @@
 """Weights: compositions of r into n nonnegative parts.
 
-A weight indexes both a Young subgroup of S_r and a weight space of
-tensor space.  Weights extend periodically: entry(i) for any integer i
-reads the part with index congruent to i mod n.  residue() is that
-reduction of an index into {1, ..., n}, shared by every module.
+A Weight is the validated tuple of its parts: it equals and hashes as the
+plain tuple, so a lookup by weight needs no conversion.  A weight indexes
+both a Young subgroup of S_r and a weight space of tensor space.  Weights
+extend periodically: entry(i) for any integer i reads the part with index
+congruent to i mod n.  residue() is that reduction of an index into
+{1, ..., n}, shared by every module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 
-@dataclass(frozen=True)
-class Weight:
-    parts: tuple[int, ...]
+class Weight(tuple):
+    """A weight, validated on construction: the tuple of its parts, so it
+    equals and hashes as that plain tuple.  parts is a read-only view.
 
-    def __post_init__(self):
-        if not self.parts:
+    >>> Weight((2, 0, 0)) == (2, 0, 0), Weight((2, 0, 0))
+    (True, Weight(2, 0, 0))
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, parts) -> Weight:
+        self = tuple.__new__(cls, parts)
+        if not self:
             raise ValueError("weight needs at least one part")
-        if any(p < 0 for p in self.parts):
+        if min(self) < 0:
             raise ValueError("weight parts must be nonnegative")
+        return self
 
-    @property
-    def n(self) -> int:
-        return len(self.parts)
-
-    @property
-    def r(self) -> int:
-        return sum(self.parts)
+    parts = property(tuple)
+    n = property(len)
+    r = property(sum)
 
     def entry(self, i: int) -> int:
         """Periodic entry: lambda_i for any integer i (1-based)."""
-        return self.parts[(i - 1) % self.n]
+        return self[(i - 1) % len(self)]
 
     def plus_alpha(self, i: int, c: int = 1) -> Weight | None:
         """lambda + c*alpha_i, or None if a part would go negative."""
-        parts = plus_alpha_parts(self.parts, i, c)
+        parts = plus_alpha_parts(self, i, c)
         return None if min(parts) < 0 else Weight(parts)
 
     def rotated(self) -> Weight:
         """lambda_+ = (lambda_n, lambda_1, ..., lambda_{n-1})."""
-        return Weight((self.parts[-1],) + self.parts[:-1])
+        return Weight(self[-1:] + self[:-1])
 
     def render(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
+        return "(" + ",".join(str(p) for p in self) + ")"
 
     def __repr__(self) -> str:
-        return f"Weight{self.parts}"
+        return f"Weight{tuple(self)}"
 
 
 def residue(t: int, m: int) -> int:
@@ -95,10 +100,10 @@ def all_weights(n: int, r: int) -> tuple[Weight, ...]:
             parts.append(c - prev - 1)
             prev = c
         parts.append(r + n - 2 - prev)
-        out.append(Weight(tuple(parts)))
-    return tuple(sorted(out, key=lambda w: w.parts, reverse=True))
+        out.append(Weight(parts))
+    return tuple(sorted(out, reverse=True))
 
 
 def parse_weight(text: str) -> Weight:
     text = text.strip().strip("()")
-    return Weight(tuple(int(x) for x in text.split(",")))
+    return Weight(int(x) for x in text.split(","))

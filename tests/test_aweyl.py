@@ -149,8 +149,13 @@ def test_ascends_right_matches_right_step():
 
 
 def test_public_constructors_reject_invalid_windows():
-    for bad in ((1, 2), (1, 4, 3), (2, 1, 4)):
-        with pytest.raises(ValueError):
+    for bad, message in (
+        ((1, 2), "window must have r entries"),
+        ((1, 4, 3), "window entries must be distinct mod r"),
+        ((2, 1, 4), "window entries must be distinct mod r"),
+        ((1, 2, 6), r"window must sum to r\(r\+1\)/2"),
+    ):
+        with pytest.raises(ValueError, match=message):
             AffinePerm(3, 0, bad)
     with pytest.raises(ValueError):
         AffinePerm.parse("[1,4,3]")

@@ -134,12 +134,28 @@ def test_tensor_commands(capsys):
     assert rec["vectors"] == [[1, 2], [2, 1]]
 
 
+def test_word_grammar_reads_what_symbols_render(capsys):
+    from aschur.cli import _parse_word
+    from aschur.operators import E, F, K, Kinv, P, R, Rinv, cH, ce, cf
+    from aschur.weights import Weight
+
+    word = (E(1), F(2), K(3), Kinv(1), R, Rinv, P(Weight((1, 1, 0))), ce(2), cf(3), cH(1))
+    text = " ".join(s.render() for s in word)
+    assert "K1^-1" in text and "R^-1" in text
+    assert _parse_word(text, 3) == word
+    # K<i>^-1, the rendered spelling, acts as Kinv<i>
+    outs = [run(capsys, "tensor", "act", "--n", "3", "--word", w, "--vector", "1,1")
+            for w in ("K1^-1 F1", "Kinv1 F1")]
+    assert outs[0] == outs[1] == (0, "(v^-2)*e[1,2] + (v^-1)*e[2,1]\n", "")
+
+
 def test_tensor_rejects_bad_weights_and_indices(capsys):
     # the weight must have n parts and every generator index lie in 1..n
     for argv in (
         ("tensor", "weightspace", "--n", "3", "--lambda", "1,1"),
         ("tensor", "act", "--n", "3", "--word", "E0", "--vector", "1,2"),
         ("tensor", "act", "--n", "3", "--word", "Kinv4", "--vector", "1,2"),
+        ("tensor", "act", "--n", "3", "--word", "K4^-1", "--vector", "1,2"),
         ("tensor", "act", "--n", "3", "--word", "P(1,1)", "--vector", "1,2"),
     ):
         code, out, err = run(capsys, *argv)

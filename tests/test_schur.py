@@ -8,6 +8,7 @@ import pytest
 
 from aschur.aweyl import AffinePerm, distinguished_members, enumerate_up_to_length
 from aschur.hecke import HeckeElement, t_element, x_lambda, young_parabolic
+from aschur.operators import P
 from aschur.ring import LaurentPoly
 from aschur.schur import (
     BasisExpansionError,
@@ -70,6 +71,31 @@ def test_index_guards():
     # copy and pickle rebuild the index through the checking constructor
     for twin in (copy.deepcopy(idx), pickle.loads(pickle.dumps(idx))):
         assert type(twin) is SchurBasisIndex and twin == idx
+
+
+@pytest.mark.parametrize("value, plain, text, field", [
+    (Weight((2, 0, 0)), (2, 0, 0), "Weight(2, 0, 0)", "parts"),
+    (AffinePerm.rho(2), (2, 1, (1, 2)), "AffinePerm('rho^1 * [1,2]')", "window"),
+    (P(Weight((1, 1, 0))), ("P", 0, (1, 1, 0)),
+     "Sym(kind='P', index=0, weight=Weight(1, 1, 0))", "weight"),
+], ids=["Weight", "AffinePerm", "Sym"])
+def test_value_types_are_tuples(value, plain, text, field):
+    # each equals and hashes as its plain tuple, so a lookup needs no conversion
+    assert value == plain and hash(value) == hash(plain) and {plain: 1}[value] == 1
+    assert repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value
+
+
+@pytest.mark.parametrize("parts, message", [
+    ((), "weight needs at least one part"),
+    ((1, -1, 2), "weight parts must be nonnegative"),
+])
+def test_weight_guards(parts, message):
+    with pytest.raises(ValueError, match=message):
+        Weight(parts)
 
 
 def test_block_structure():

@@ -18,9 +18,12 @@ sums with no twist, and H_i acts by the integer weight entry.
 So every one-step coefficient is a monomial m v^e.  The one cache,
 `_act_basis`, gives (target, v-exponent, multiplier) triples keyed on
 plain values (a symbol is the tuple (kind, index, projector weight), and
-a weight the validated tuple of its parts), and a word runs on a flat
-vector {(basis, v-exponent): int};
-only the returned vector is built of LaurentPolys.
+a weight the validated tuple of its parts).  A word runs on a flat
+vector tagged by start, {(start, basis, v-exponent): int}, so one run
+covers many start tensors at once: nonzero_starts sums coefficient *
+word over the starts of each term of an identity in one integer pass,
+and act_word and act_expr_basis are the one-start case.  Only the
+vectors those two return are built of LaurentPolys.
 
 Every symbol's coefficients and targets depend only on the residues
 t_j mod n, and it moves entries by fixed displacements.  So the action
@@ -41,6 +44,7 @@ replacing it by any other such residue commutes with the action.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterable
 
 from .operators import E, F, OperatorExpr, R, Rinv, Sym, Word, chain
 from .ring import LaurentPoly, add_term
@@ -103,24 +107,45 @@ def _act_basis(n: int, kind: str, i: int, parts: tuple | None, b: Basis) -> tupl
 
 
 def _run(n: int, word: Word, flat: dict) -> dict:
-    """A word on a flat vector {(basis, v-exponent): int}, rightmost symbol first."""
+    """A word on a start-tagged flat vector {(start, basis, v-exponent): int},
+    rightmost symbol first."""
     for kind, i, w in reversed(word):
         if not flat:
             break
         out = {}
         get = out.get
-        for (b, e), m in flat.items():
+        for (s, b, e), m in flat.items():
             for b2, e2, m2 in _act_basis(n, kind, i, w, b):
-                key = (b2, e + e2)
+                key = (s, b2, e + e2)
                 out[key] = get(key, 0) + m * m2
         flat = out
     return flat
 
 
+def _combine(n: int, runs: Iterable[tuple[Word, LaurentPoly, Iterable[Basis]]]) -> dict:
+    """The sum of coefficient * word on e_s for every (word, coefficient,
+    starts) and every start s, as one flat vector tagged by start: each
+    word runs once over all of its starts."""
+    total = {}
+    get = total.get
+    for word, coeff, starts in runs:
+        for (s, b, e), m in _run(n, word, {(s, s, 0): 1 for s in starts}).items():
+            for ce, cm in coeff.items():
+                key = (s, b, e + ce)
+                total[key] = get(key, 0) + m * cm
+    return total
+
+
+def nonzero_starts(n: int, runs: Iterable[tuple[Word, LaurentPoly, Iterable[Basis]]]) -> set[Basis]:
+    """The starts s on which the sum of coefficient * word over the runs
+    that list s is nonzero: the batched check of verify_identity."""
+    return {s for (s, _, _), m in _combine(n, runs).items() if m}
+
+
 def _vector(flat: dict) -> Vector:
-    """The vector of a flat one, without zero entries."""
+    """The vector of a flat one, without zero entries; the start tags are dropped."""
     polys: dict[Basis, dict[int, int]] = {}
-    for (b, e), m in flat.items():
+    for (_, b, e), m in flat.items():
         if m:
             polys.setdefault(b, {})[e] = m
     return {b: LaurentPoly(c) for b, c in polys.items()}
@@ -128,7 +153,7 @@ def _vector(flat: dict) -> Vector:
 
 def act_word(n: int, word: Word, vec: Vector) -> Vector:
     """Apply a word of symbols, rightmost symbol first."""
-    return _vector(_run(n, word, {(b, e): m for b, c in vec.items() for e, m in c.items()}))
+    return _vector(_run(n, word, {(None, b, e): m for b, c in vec.items() for e, m in c.items()}))
 
 
 def act_symbol(n: int, sym: Sym, vec: Vector) -> Vector:
@@ -137,14 +162,7 @@ def act_symbol(n: int, sym: Sym, vec: Vector) -> Vector:
 
 def act_expr_basis(n: int, expr: OperatorExpr, b: Basis) -> Vector:
     """expr on e_b: each word runs flat, then takes its coefficient term by term."""
-    total = {}
-    get = total.get
-    for word, coeff in expr.terms.items():
-        for (b2, e), m in _run(n, word, {(b, 0): 1}).items():
-            for ce, cm in coeff.items():
-                key = (b2, e + ce)
-                total[key] = get(key, 0) + m * cm
-    return _vector(total)
+    return _vector(_combine(n, ((word, coeff, (b,)) for word, coeff in expr.terms.items())))
 
 
 def vec_sub(a: Vector, b: Vector) -> Vector:

@@ -6,10 +6,11 @@ on its own with
     PYTHONPATH=src python -m pytest tests/bench_tensor_action.py -p no:cacheprovider
 
 It times `present.verify_identity` at (n, r) = (4, 2), with warm caches,
-on three inputs: Q5[i=1,j=1] of qaffine (E_1 F_1 - F_1 E_1 against the
+on four inputs: Q5[i=1,j=1] of qaffine (E_1 F_1 - F_1 E_1 against the
 K quotient, on the whole box), R1-sum of idempotented (the sum of all
-projectors, one multi-term word per weight), and every instance of
-hecke-tau (long multi-term words on the omega weight space).
+projectors, one multi-term word per weight), every instance of
+hecke-tau (long multi-term words on the omega weight space), and all
+230 instances of classical (many short words, mostly 0 = 0 checks).
 """
 from __future__ import annotations
 
@@ -35,8 +36,9 @@ def test_verify_row(benchmark, name, row, params):
     assert benchmark(verify_identity, N, R, inst).passed
 
 
-def test_verify_hecke_tau(benchmark):
-    insts = suite("hecke-tau", N, R)
+@pytest.mark.parametrize("name", ["hecke-tau", "classical"])
+def test_verify_suite(benchmark, name):
+    insts = suite(name, N, R)
     for inst in insts:
         verify_identity(N, R, inst)
 

@@ -4,7 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
-from aschur import tensor
+from aschur import cli, present, tensor
 from aschur.aweyl import AffinePerm
 from aschur.operators import E, F, K, OperatorExpr, P, R, Sym
 from aschur.present import (
@@ -258,6 +258,55 @@ def test_kernel_mutants_fail_qaffine(monkeypatch, mutant, fails, first, countere
     b = tuple(int(t) for t in rep.counterexample.split(" -> ")[0][2:-1].split(","))
     diff = vec_sub(act_expr_basis(n, inst.lhs, b), act_expr_basis(n, inst.rhs, b))
     assert f"{render_basis(b)} -> {render_vector(diff)}" == counterexample
+
+
+@pytest.fixture
+def batched(monkeypatch):
+    """The start sets of present.nonzero_starts, one per call."""
+    seen, real = [], present.nonzero_starts
+
+    def spy(n, runs):
+        seen.append(real(n, runs))
+        return seen[-1]
+
+    monkeypatch.setattr(present, "nonzero_starts", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 2)])
+@pytest.mark.parametrize("mutant", [None, _negated_e, _f_off_by_one])
+def test_batched_starts_match_laurent_route(monkeypatch, batched, n, r, mutant):
+    # the one integer run of lhs - rhs flags exactly the domain tensors on
+    # which the Laurent route gives a nonzero difference: on every tensor
+    # suite, on the corrupted instances, and under both kernel mutants
+    if mutant:
+        monkeypatch.setattr(tensor, "_act_basis", mutant)
+        insts = suite("qaffine", n, r)
+    else:
+        insts = [i for name in SUITE_NAMES if name != "q17-19" for i in suite(name, n, r)]
+        insts += [*_corrupted_per_domain(n, r).values(), q15_instance(n, r, corrupt=True)]
+    for inst in insts:
+        batched.clear()
+        verify_identity(n, r, inst)
+        vectors, _ = verification_domain(n, r, inst)
+        laurent = {b for b in vectors
+                   if vec_sub(act_expr_basis(n, inst.lhs, b), act_expr_basis(n, inst.rhs, b))}
+        assert batched == [laurent], (inst.name, inst.params)
+
+
+@pytest.mark.parametrize("spurious", [(1, 1), (9, 9)])
+def test_spurious_flag_is_an_internal_error(monkeypatch, capsys, spurious):
+    # a tensor the batched run flags, in the domain or outside it, whose
+    # Laurent difference is zero is a fault of the checker, never a PASS:
+    # verify_identity raises and the CLI exits 3
+    n, r = 3, 2
+    (inst,) = [i for i in suite("qaffine", n, r) if (i.name, i.params) == ("Q5", {"i": 1, "j": 1})]
+    assert verify_identity(n, r, inst).passed
+    monkeypatch.setattr(present, "nonzero_starts", lambda n, runs: {spurious})
+    with pytest.raises(RuntimeError, match="flagged"):
+        verify_identity(n, r, inst)
+    assert cli.main(["verify", "--suite", "qaffine", "--n", "3", "--r", "2"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: RuntimeError: ")
 
 
 def test_commute_projector():

@@ -445,18 +445,17 @@ def enumerate_parabolic(pi: ParabolicIndex) -> frozenset[AffinePerm]:
     return frozenset(distinguished_members(trivial, AffinePerm.identity(r), pi))
 
 
-@lru_cache(maxsize=None)
 def enumerate_double_coset(
     pi1: ParabolicIndex, d: AffinePerm, pi2: ParabolicIndex
 ) -> frozenset[AffinePerm]:
-    """The finite set W_pi1 * d * W_pi2 (cached): the disjoint union of
-    the right cosets W_pi1 * b over its distinguished members b
+    """The finite set W_pi1 * d * W_pi2: the disjoint union of the right
+    cosets W_pi1 * b over its distinguished members b
     (`distinguished_members`), as each right coset has exactly one member
     minimal in it.  No product builds it; it serves `phi_value`, the CLI
     and the tests' whole-coset oracle.
     """
     return frozenset(
-        _shared(a * b)
+        a * b
         for b in distinguished_members(pi1, d, pi2)
         for a in enumerate_parabolic(pi1)
     )
@@ -521,13 +520,6 @@ def distinguished_tree(
                 parents.append(m)
                 letters.append(i)
     return tuple(wins), tuple(parents), tuple(letters)
-
-
-@lru_cache(maxsize=None)
-def _shared(w: AffinePerm) -> AffinePerm:
-    """The first element equal to w passed here: the cached double cosets
-    share their members through it."""
-    return w
 
 
 def enumerate_up_to_length(r: int, max_length: int) -> dict[AffinePerm, int]:

@@ -20,14 +20,15 @@ with indices in [1, n], or for an omega-space relation the r! of them of
 weight omega.  The action commutes with adding n to any single index
 (see aschur.tensor), so a pass is equality on all of V^(x)r, or on the
 omega weight space V_omega.  Two lemmas shrink that box and keep it
-complete (verification_domain).  Grading: a word with a projector is
-zero off one source weight, so when every term has one, only those
-weight spaces are evaluated.  Inert residues: an index whose residue no
-symbol of a P- and R-free relation touches is never moved or counted,
-so one representative residue stands for all such indices.  Every
-report names the domain it evaluated and says that it is complete.  The
-phi-basis relations Q17-Q19 are identities of SchurElements, checked
-exactly.
+complete (verification_domain), and tensor.word_support reads the facts
+both need off each distinct word in one scan.  Grading: a word with a
+projector is zero off one source weight, so when every term has one,
+only those weight spaces are evaluated.  Inert residues: an index whose
+residue no symbol of a P- and R-free relation touches is never moved or
+counted, so one representative residue stands for all such indices.
+Every report names the domain it evaluated and says that it is
+complete.  The phi-basis relations Q17-Q19 are identities of
+SchurElements, checked exactly.
 
 LEMMAS holds, in the same row format, the identities the paper proves
 beside the relations: the cancellation principle F_i^c E_i^c 1_lam =
@@ -69,7 +70,7 @@ from .operators import (
     chain,
     power,
 )
-from .ring import LaurentPoly, add_term, gauss_binom, quantum_fact, signed_quantum_int
+from .ring import V, LaurentPoly, add_term, gauss_binom, quantum_fact, signed_quantum_int
 from .schur import SchurBasisIndex, SchurElement
 from .tensor import (
     Basis,
@@ -80,10 +81,10 @@ from .tensor import (
     tau,
     vec_sub,
     weight_space_basis,
+    word_support,
 )
 from .weights import Weight, all_weights, omega, plus_alpha_parts, residue
 
-_V = LaurentPoly.v()
 _Q = LaurentPoly.q()
 
 
@@ -143,61 +144,6 @@ class CheckReport:
         }
 
 
-def source_weights(n: int, r: int, word: Word) -> tuple[Weight, ...] | None:
-    """The weights of V^(x)r off which a word with a projector is zero:
-    one weight, or none when the word is zero everywhere.  None when the
-    word has no projector.
-
-    Every symbol is weight-homogeneous, so each P(lam) pins the weight of
-    the source tensor: undo the shifts of the symbols to its right (E_i,
-    e_i: -alpha_i; F_i, f_i: +alpha_i; R, R^-1: rotate back).
-
-    >>> source_weights(3, 2, (E(1), P(Weight((2, 0, 0)))))
-    (Weight(2, 0, 0),)
-    >>> source_weights(3, 2, (P(Weight((2, 0, 0))), E(1)))
-    (Weight(1, 1, 0),)
-    >>> source_weights(3, 2, (P(Weight((2, 0, 0))), E(1), P(Weight((2, 0, 0)))))
-    ()
-    """
-    pin: tuple[int, ...] | None = None  # the weight just right of the symbols read so far
-    for kind, i, lam in word:
-        if kind == "P":
-            if lam.n != n or pin not in (None, lam):
-                return ()
-            pin = lam
-        elif pin is None:
-            continue
-        elif kind in ("E", "e", "F", "f"):
-            pin = plus_alpha_parts(pin, i, -1 if kind in ("E", "e") else 1)
-        elif kind == "R":
-            pin = pin[1:] + pin[:1]
-        elif kind == "Rinv":
-            pin = pin[-1:] + pin[:-1]
-    if pin is None:
-        return None
-    if sum(pin) != r or min(pin) < 0:
-        return ()
-    return (Weight(pin),)
-
-
-def touched_residues(n: int, word: Word) -> set[int] | None:
-    """The residues a word without P, R or R^-1 reads or moves: {i, i+1}
-    for E_i, F_i, e_i, f_i and {i} for K_i^(+-1), H_i.  None for a word
-    with P, R or R^-1, which read every residue.
-
-    >>> sorted(touched_residues(4, (E(4), K(2))))
-    [1, 2, 4]
-    """
-    out: set[int] = set()
-    for kind, i, _ in word:
-        if kind in ("P", "R", "Rinv"):
-            return None
-        out.add(residue(i, n))
-        if kind in ("E", "F", "e", "f"):
-            out.add(residue(i + 1, n))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _weight_space(n: int, lam: Weight) -> tuple[Basis, ...]:
     """The basis tensors of weight lam with indices in [1, n]; cached, as
@@ -205,18 +151,44 @@ def _weight_space(n: int, lam: Weight) -> tuple[Basis, ...]:
     return tuple(weight_space_basis(n, lam, 1, n))
 
 
+def _domain(n: int, r: int, inst: RelationInstance) -> tuple[Iterable[Basis], str, dict]:
+    """verification_domain's tensors and window, and the word_support of
+    each distinct word of lhs and rhs, which picks both."""
+    support = {w: word_support(n, r, w) for w in {**inst.lhs.terms, **inst.rhs.terms}}
+    if inst.domain == "omega":
+        return (_weight_space(n, omega(n, r)),
+                f"omega weight space, indices in [1,{n}]; complete on V_omega", support)
+    complete = f"; complete on V^(x){r}"
+    pinned = [weights for weights, _ in support.values()]
+    if None not in pinned:
+        ordered = sorted(set().union(*pinned), reverse=True)
+        names = " ".join(lam.render() for lam in ordered) or "none (every term is zero)"
+        return ([b for lam in ordered for b in _weight_space(n, lam)],
+                f"weight spaces {names} with indices in [1,{n}]{complete}", support)
+    touched = [residues for _, residues in support.values()]
+    if None not in touched:
+        active = set().union(*touched)
+        if len(active) < n:
+            c = min(set(range(1, n + 1)) - active)
+            shown = ",".join(map(str, sorted(active)))
+            return (product(sorted(active | {c}), repeat=r),
+                    f"indices in {{{shown}}} plus {c} for every other residue{complete}", support)
+    return (product(range(1, n + 1), repeat=r),
+            f"all basis tensors with indices in [1,{n}]{complete}", support)
+
+
 def verification_domain(n: int, r: int, inst: RelationInstance) -> tuple[Iterable[Basis], str]:
     """The basis tensors verify_identity evaluates an instance on, and the
     window text naming them: the first of these complete domains that
-    applies.
+    applies.  Both lemma facts come from one tensor.word_support scan of
+    each distinct word of lhs and rhs.
 
     - omega: an omega-space relation, on the r! tensors of weight omega.
-    - graded: every term of lhs and rhs has a projector.  Each term is zero
-      off its source weight (source_weights), so only those weight spaces
-      are evaluated.
+    - graded: every word of lhs and rhs has a projector.  Each is zero off
+      its source weight, so only those weight spaces are evaluated.
     - inert residues: no word has P, R or R^-1, and some residue c is
-      outside the residues S that the words touch (touched_residues).
-      The tensors with indices in S and c are evaluated.
+      outside the residues S that the words touch.  The tensors with
+      indices in S and c are evaluated.
     - full: [1, n]^r.
 
     >>> zero = OperatorExpr.zero()
@@ -232,36 +204,7 @@ def verification_domain(n: int, r: int, inst: RelationInstance) -> tuple[Iterabl
     >>> len(list(vecs)), window
     (9, 'all basis tensors with indices in [1,3]; complete on V^(x)2')
     """
-    if inst.domain == "omega":
-        return (_weight_space(n, omega(n, r)),
-                f"omega weight space, indices in [1,{n}]; complete on V_omega")
-    complete = f"; complete on V^(x){r}"
-    words = [w for expr in (inst.lhs, inst.rhs) for w in expr.terms]
-    spaces: set[Weight] = set()
-    for w in words:
-        pinned = source_weights(n, r, w)
-        if pinned is None:
-            break
-        spaces.update(pinned)
-    else:
-        ordered = sorted(spaces, reverse=True)
-        names = " ".join(lam.render() for lam in ordered) or "none (every term is zero)"
-        return ([b for lam in ordered for b in _weight_space(n, lam)],
-                f"weight spaces {names} with indices in [1,{n}]{complete}")
-    active: set[int] = set()
-    for w in words:
-        touched = touched_residues(n, w)
-        if touched is None:
-            break
-        active |= touched
-    else:
-        if len(active) < n:
-            c = min(set(range(1, n + 1)) - active)
-            shown = ",".join(map(str, sorted(active)))
-            return (product(sorted(active | {c}), repeat=r),
-                    f"indices in {{{shown}}} plus {c} for every other residue{complete}")
-    return (product(range(1, n + 1), repeat=r),
-            f"all basis tensors with indices in [1,{n}]{complete}")
+    return _domain(n, r, inst)[:2]
 
 
 def verify_identity(n: int, r: int, inst: RelationInstance) -> CheckReport:
@@ -277,18 +220,20 @@ def verify_identity(n: int, r: int, inst: RelationInstance) -> CheckReport:
     whose residue no symbol touches is never moved and never counted, so
     one representative residue stands for all of them.
 
-    The grading lemma also applies per term: each word of lhs - rhs runs
-    once, in one batched integer pass (tensor.nonzero_starts), from only
-    the domain tensors it can be nonzero on: those of its source weight
-    when it has a projector, none when it is zero everywhere, and all of
-    them otherwise.  Laurent vectors are built only for the counterexample
-    of a FAIL, on the first flagged tensor in domain order.
+    Each distinct word of lhs and rhs is scanned once (tensor.word_support),
+    and those results pick both the domain and each run's starts: the
+    grading lemma also applies per term.  Each word of lhs - rhs runs once,
+    in one batched integer pass (tensor.nonzero_starts), from only the
+    domain tensors it can be nonzero on: those of its source weight when it
+    has a projector, none when it is zero everywhere, and all of them
+    otherwise.  Laurent vectors are built only for the counterexample of a
+    FAIL, on the first flagged tensor in domain order.
     """
-    vectors, window = verification_domain(n, r, inst)
+    vectors, window, support = _domain(n, r, inst)
     vectors = list(vectors)
     runs = []
     for word, coeff in (inst.lhs - inst.rhs).terms.items():
-        pinned = source_weights(n, r, word)
+        pinned = support[word][0]
         if pinned is None:
             runs.append((word, coeff, vectors))
         elif pinned and (inst.domain != "omega" or pinned[0] == omega(n, r)):
@@ -646,8 +591,8 @@ def _zeta_intertwine(n: int, r: int) -> Iterator[Instance]:
     m_word = chain("E", range(r - 1, 0, -1)) + chain("E", range(r + 1, n + 1))
     m_expr = _w(*(m_word + [P(omega(n, r))]))
     for i in range(2, r):
-        lhs = (_w(F(i - 1), E(i - 1)).scaled(_V) - OperatorExpr.one()) * m_expr
-        rhs = m_expr * (_w(F(i), E(i)).scaled(_V) - OperatorExpr.one())
+        lhs = (_w(F(i - 1), E(i - 1)).scaled(V) - OperatorExpr.one()) * m_expr
+        rhs = m_expr * (_w(F(i), E(i)).scaled(V) - OperatorExpr.one())
         yield {"i": i}, lhs, rhs
 
 
@@ -660,18 +605,18 @@ def _zeta_rotate(n: int, r: int) -> Iterator[Instance]:
 def _zeta_ef_swap(n: int, r: int) -> Iterator[Instance]:
     om = omega(n, r)
     for i in range(1, r):
-        yield {"i": i}, zeta(n, r, f"s{i}"), _w(E(i), F(i), P(om)).scaled(_V) - projector(om)
+        yield {"i": i}, zeta(n, r, f"s{i}"), _w(E(i), F(i), P(om)).scaled(V) - projector(om)
 
 
 def _zeta_boundary_swap(n: int, r: int) -> Iterator[Instance]:
     om = omega(n, r)
     ef_chain = chain("E", range(r, n + 1)) + chain("F", range(n, r - 1, -1))
-    yield {}, zeta(n, r, f"s{r}"), OperatorExpr.word([P(om)] + ef_chain, _V) - projector(om)
+    yield {}, zeta(n, r, f"s{r}"), OperatorExpr.word([P(om)] + ef_chain, V) - projector(om)
 
 
 def _zeta_en_transport(n: int, r: int) -> Iterator[Instance]:
     om = omega(n, r)
-    v = OperatorExpr.one().scaled(_V)
+    v = OperatorExpr.one().scaled(V)
     yield ({}, (_w(E(n), F(n)) - v) * _w(E(1), E(n), P(om)),
            _w(E(1), E(n)) * (_w(E(1), F(1)) - v) * projector(om))
 
@@ -679,7 +624,7 @@ def _zeta_en_transport(n: int, r: int) -> Iterator[Instance]:
 def _zeta_chain_transport(n: int, r: int) -> Iterator[Instance]:
     one_om = projector(omega(n, r))
     e_desc = _w(*chain("E", range(r, 0, -1)))
-    vinv = OperatorExpr.one().scaled(_V.bar())
+    vinv = OperatorExpr.one().scaled(V.bar())
     yield ({}, one_om * (_w(F(r - 1), E(r - 1)) - vinv) * e_desc,
            one_om * e_desc * (_w(F(r), E(r)) - vinv))
 
@@ -1109,7 +1054,7 @@ def zeta(n: int, r: int, name: str) -> OperatorExpr:
         return tau(n, r, name, "R-free") * projector(om)
     if i == r:
         syms = [P(om)] + chain("F", range(n, r - 1, -1)) + chain("E", range(r, n + 1))
-        return OperatorExpr.word(syms, _V) - projector(om)
+        return OperatorExpr.word(syms, V) - projector(om)
     raise ValueError(f"unknown zeta element {name!r}")
 
 

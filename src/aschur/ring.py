@@ -182,6 +182,9 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self) -> int:
+        # equal values hash equal: a constant hashes as its int, zero as 0
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, 0))
         return hash(tuple(sorted(self._c.items())))
 
     def __bool__(self) -> bool:

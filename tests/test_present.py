@@ -294,6 +294,28 @@ def test_batched_starts_match_laurent_route(monkeypatch, batched, n, r, mutant):
         assert batched == [laurent], (inst.name, inst.params)
 
 
+def test_verify_identity_scans_each_word_once(monkeypatch):
+    # one word_support scan per distinct word of lhs and rhs picks both the
+    # domain and the starts of each run, on every instance of every tensor
+    # suite, omega-space ones included
+    n, r = 3, 2
+    calls, real = [], tensor.word_support
+
+    def spy(n, r, word):
+        calls.append(word)
+        return real(n, r, word)
+
+    monkeypatch.setattr(present, "word_support", spy)
+    names = [name for name in SUITE_NAMES if name != "q17-19"]
+    assert len(names) == 8
+    for name in names:
+        for inst in suite(name, n, r):
+            calls.clear()
+            verify_identity(n, r, inst)
+            words = set(inst.lhs.terms) | set(inst.rhs.terms)
+            assert len(calls) == len(words) and set(calls) == words, (inst.name, inst.params)
+
+
 @pytest.mark.parametrize("spurious", [(1, 1), (9, 9)])
 def test_spurious_flag_is_an_internal_error(monkeypatch, capsys, spurious):
     # a tensor the batched run flags, in the domain or outside it, whose

@@ -179,6 +179,21 @@ def test_difference_is_the_sum_with_the_negation(a, b):
     assert a - 3 == a + (-3) and 3 - a == -(a - 3)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**20, 10**20))
+def test_constants_hash_as_their_int(x):
+    # a constant equals its int, so it must hash as it, and be found
+    # under it in a dict or a set, zero included
+    c = LaurentPoly.const(x)
+    assert c == x and hash(c) == hash(x)
+    assert {x: "a"}.get(c) == "a" and {c: "a"}.get(x) == "a"
+    assert c in {x} and x in {c}
+    assert len({x, c}) == 1
+    zero = LaurentPoly.zero()
+    assert zero == 0 and hash(zero) == hash(0) and {0: "z"}.get(zero) == "z"
+    assert (c - c) in {0} and len({c - c, zero, 0}) == 1
+
+
 def test_constructors_have_int_coefficients():
     for m in range(0, 7):
         assert _canonical(quantum_int(m)) and _canonical(quantum_fact(m))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aschur.operators import E, F, K, Kinv, OperatorExpr, P, R, Rinv, Sym, cH, ce, cf
-from aschur.present import source_weights, touched_residues
 from aschur.ring import LaurentPoly, add_term, quantum_int, signed_quantum_int
 from aschur.tensor import (
     _act_basis,
@@ -17,6 +16,7 @@ from aschur.tensor import (
     tau,
     weight_of,
     weight_space_basis,
+    word_support,
 )
 from aschur.weights import Weight, all_weights, omega, residue
 
@@ -156,8 +156,8 @@ def test_projector_word_is_zero_off_its_source_weight(case):
     # the grading lemma: a word with a projector sends every basis tensor
     # whose weight is not its source weight to 0
     n, r, word, b = case
-    mus = source_weights(n, r, word)
-    assert mus is not None and len(mus) <= 1
+    mus, touched = word_support(n, r, word)
+    assert mus is not None and len(mus) <= 1 and touched is None
     if weight_of(n, b) not in mus:
         assert act_word(n, word, unit(b)) == {}
 
@@ -175,11 +175,12 @@ def inert_words(draw):
 @settings(max_examples=800, deadline=None)
 @given(inert_words())
 def test_inert_residues_commute_with_the_action(case):
-    # the inert-residue lemma: for every word that touched_residues accepts
-    # (no P, R or R^-1), replacing each coordinate whose residue the word
-    # does not touch by one representative residue c commutes with the action
+    # the inert-residue lemma: for every word whose touched residues
+    # word_support gives (no P, R or R^-1), replacing each coordinate whose
+    # residue the word does not touch by one representative residue c
+    # commutes with the action
     n, word, b = case
-    touched = touched_residues(n, word)
+    _, touched = word_support(n, len(b), word)
     if touched is None or len(touched) == n:
         return
     c = min(set(range(1, n + 1)) - touched)

@@ -18,12 +18,24 @@ which the test suite validates exhaustively against a breadth-first
 word-length oracle before anything downstream relies on it.
 
 The one-sided steps run on bare windows: `right_step` gives the window
-of w s_i and the direction of the length in one pass, `left_step` the
-window of s_j w, whose direction `descends_left` reads off two entries,
-and `rho_conjugate` the window of rho^-k w rho^k.  Reduced words, coset
-decompositions and minimal double-coset members all come from one loop
-over these steps, `_strip`, which strips left and right descents off a
-window, with no length computed on the way.
+of w s_i and the direction of the length in one pass (`ascends_right` is
+its bit), `left_step` the window of s_j w, whose direction
+`descends_left` reads off two entries, and `rho_conjugate` the window of
+rho^-k w rho^k.  Reduced words, coset decompositions and minimal
+double-coset members all come from one loop over these steps, `_strip`,
+which strips left and right descents off a window, with no length
+computed on the way.  `is_min_window` is the one test of minimality in
+a double coset, on the window, the left slots of pi1 and the generators
+of pi2.
+
+The phi products of `schur` ask the same few window steps many times
+over, so `right_step` (keyed on the window and i), `descends_left` (the
+window and the slot tuple) and `is_min_window` (the window, the slot
+tuple and the generator frozenset) are cached on those plain keys.  That
+is sound because each is a pure function of its arguments, which are
+tuples and frozensets of ints, and returns a bool or an immutable tuple:
+a cached result cannot be changed by a caller, nor differ from a fresh
+one.  An error, as at r = 1, is raised again on every call, not cached.
 
 A double coset W_pi1 * d * W_pi2 of finite parabolic subgroups is the
 disjoint union of the right cosets W_pi1 * b of its distinguished
@@ -276,8 +288,10 @@ def left_step(window: tuple[int, ...], j: int) -> tuple[int, ...]:
     return tuple(win)
 
 
+@lru_cache(maxsize=None)
 def right_step(window: tuple[int, ...], i: int) -> tuple[tuple[int, ...], bool]:
-    """(window of w s_i, whether l(w s_i) > l(w)), in one pass over the window.
+    """(window of w s_i, whether l(w s_i) > l(w)), in one pass over the
+    window (cached).
 
     s_i adds 1 to the values of residue i and takes 1 from those of residue
     i + 1.  The argument that w sends to a value x is pos(x) = t - (w_t - x),
@@ -305,17 +319,8 @@ def right_step(window: tuple[int, ...], i: int) -> tuple[tuple[int, ...], bool]:
 
 
 def ascends_right(window: tuple[int, ...], i: int) -> bool:
-    """Whether l(w s_i) > l(w): right_step's bit, without the stepped window."""
-    r = len(window)
-    if r == 1:
-        raise ValueError("at r = 1 there is no generator s_i: W is trivial")
-    bi, bi1 = i % r, (i + 1) % r
-    for t, x in enumerate(window, 1):
-        if x % r == bi:
-            pos_i = t - (x - i)
-        elif x % r == bi1:
-            pos_i1 = t - (x - i - 1)
-    return pos_i < pos_i1
+    """Whether l(w s_i) > l(w): right_step's bit."""
+    return right_step(window, i)[1]
 
 
 @lru_cache(maxsize=None)
@@ -372,10 +377,11 @@ def left_slots(gens: frozenset[int], z: int, r: int) -> tuple[int, ...]:
     return tuple(sorted(residue(i + z, r) for i in gens))
 
 
+@lru_cache(maxsize=None)
 def descends_left(window: tuple[int, ...], slots: tuple[int, ...]) -> bool:
     """Whether some s_j, j in slots, is a left descent of the w with this
-    window.  s_j w swaps the arguments j and j + 1 of w, so the length goes
-    down exactly when (j)w > (j+1)w (with (r+1)w = (1)w + r)."""
+    window (cached).  s_j w swaps the arguments j and j + 1 of w, so the
+    length goes down exactly when (j)w > (j+1)w (with (r+1)w = (1)w + r)."""
     r = len(window)
     for j in slots:
         if window[j - 1] > (window[j] if j < r else window[0] + r):
@@ -388,10 +394,19 @@ def is_distinguished_right(d: AffinePerm, pi: ParabolicIndex) -> bool:
     return not descends_left(d.window, left_slots(pi.gens, d.z, d.r))
 
 
+@lru_cache(maxsize=None)
+def is_min_window(window: tuple[int, ...], slots: tuple[int, ...], gens: frozenset[int]) -> bool:
+    """Whether the w with this window is minimal in W_pi1 w W_pi2, with
+    slots the left slots of pi1 at the rho power of w (`left_slots`) and
+    gens the generators of pi2: no s_j, j in slots, descends on the left
+    and no s_i, i in gens, on the right (cached)."""
+    return not descends_left(window, slots) and all(ascends_right(window, i) for i in gens)
+
+
 def is_double_coset_min(d: AffinePerm, pi1: ParabolicIndex, pi2: ParabolicIndex) -> bool:
     """d minimal in W_pi1 d W_pi2: no s in pi1 descends on the left and
     no s in pi2 on the right."""
-    return is_distinguished_right(d, pi1) and all(ascends_right(d.window, i) for i in pi2.gens)
+    return is_min_window(d.window, left_slots(pi1.gens, d.z, d.r), pi2.gens)
 
 
 def coset_decompose(
@@ -504,9 +519,9 @@ def distinguished_tree(
     decrease along the members.
     """
     left = left_slots(gens1, z, len(window))
-    right = sorted(gens2)
-    if descends_left(window, left) or not all(ascends_right(window, i) for i in right):
+    if not is_min_window(window, left, gens2):
         raise ValueError("the window is not minimal in its double coset")
+    right = sorted(gens2)
     seen = {window}
     wins, parents, letters = [window], [-1], [0]
     for m, win in enumerate(wins):  # grows as it is read

@@ -12,10 +12,11 @@ letter,
 
 then scaled by that term's coefficient.  No step of the fold moves the
 rho power, so a state is a plain {window: coefficient} dict at one rho
-power, and one pass over the window of w (`aweyl.right_step`) gives both
-the window of w s_i and the direction of the length.  c q is an exponent
-shift of c, and c (q - 1) is c q - c.  This product is the independent
-route that the tests hold the phi products of `schur` to.
+power, and one cached step on the window of w (`aweyl.right_step`,
+computed once per window and letter) gives both the window of w s_i and
+the direction of the length.  c q is an exponent shift of c, and
+c (q - 1) is c q - c.  This product is the independent route that the
+tests hold the phi products of `schur` to.
 
 Those run the same letter rule in the right module x_pi H of a finite
 parabolic W_pi, x_pi the sum of its T_w.  Its basis is x_pi T_b over the
@@ -29,11 +30,12 @@ on it in three cases (Deodhar):
 In the third case b s_i = s b for a generator s of W_pi, and
 x_pi T_s = q x_pi.  In the second, b s_i stays in D_pi, because D_pi is
 closed under prefixes: a left descent t in W_pi of b s_i would be one of
-b, as l(t b) <= l(t b s_i) + 1 < l(b).  Membership is the left-descent
-test of `aweyl.descends_left`, on the generators of pi shifted by the
-rho power (`aweyl.left_slots`).  A right factor there is the sum of T_b
-over the distinguished members of a double coset, and `fold_tree` folds
-it along the tree that enumerates them (`aweyl.distinguished_tree`):
+b, as l(t b) <= l(t b s_i) + 1 < l(b).  Membership is the cached
+left-descent test of `aweyl.descends_left`, on the generators of pi
+shifted by the rho power (`aweyl.left_slots`).  A right factor there is
+the sum of T_b over the distinguished members of a double coset, and
+`fold_tree` folds it along the tree that enumerates them
+(`aweyl.distinguished_tree`):
 T_b = T_{b'} T_{s_i} for its parent b', so every member but the root
 costs one letter.
 """

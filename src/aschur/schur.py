@@ -39,12 +39,11 @@ from .aweyl import (
     Window,
     _trusted,
     _window_length,
-    ascends_right,
-    descends_left,
     distinguished_tree,
     double_coset_min,
     enumerate_double_coset,
     is_double_coset_min,
+    is_min_window,
     left_slots,
     rho_conjugate,
 )
@@ -218,9 +217,10 @@ def expand_in_basis(
     so the terms are expanded one rho power at a time, on windows.
 
     Every support element d that is the minimal representative of its
-    double coset S_lambda d S_mu is a pivot, in any order: its coefficient
-    c is the coefficient of phi^d, every member of that coset must carry
-    exactly c, and the whole coset is removed from the remainder, one
+    double coset S_lambda d S_mu (`aweyl.is_min_window`, cached on the
+    window) is a pivot, in any order: its coefficient c is the
+    coefficient of phi^d, every member of that coset must carry exactly
+    c, and the whole coset is removed from the remainder, one
     working dict updated in place.  A missing coset member or a member
     with another coefficient raises BasisExpansionError, and so does a
     term left over at the end: no pivot's coset holds it, so the minimal
@@ -247,13 +247,11 @@ def expand_in_basis(
             groups.setdefault(w.z, {})[w.window] = c
     pil, pim = young_parabolic(lam), young_parabolic(mu)
     gens1, gens2 = pil.gens, pim.gens
-    right = sorted(gens2)
     out: dict[SchurBasisIndex, LaurentPoly] = {}
     for z, rem in groups.items():
         left = left_slots(gens1, z, r)
         for w in list(rem):
-            if (w not in rem or descends_left(w, left)
-                    or not all(ascends_right(w, i) for i in right)):
+            if w not in rem or not is_min_window(w, left, gens2):
                 continue  # removed with an earlier pivot's coset, or not a pivot
             c = rem[w]
             coeffs = c._c  # compared as dicts: LaurentPoly equality less its type checks

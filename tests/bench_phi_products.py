@@ -5,11 +5,15 @@ on its own with
 
     PYTHONPATH=src python -m pytest tests/bench_phi_products.py -p no:cacheprovider
 
-It times `schur._mul_basis` on 64 seeded basis pairs at (n, r) = (5, 4),
-with warm caches; `SchurElement.__mul__` on two sums over all weights at
-(5, 4), whose terms it pairs by middle weight; and one build of the
-q17-19 suite at (5, 4), which computes every phi product of its
-instances (after one warm-up build).
+It times `schur._mul_basis` on 64 seeded basis pairs at (n, r) = (5, 4)
+twice: with warm caches, and cold, with every cache of `aweyl` (the
+window steps, the minimality test, the trees, the reduced words)
+emptied before each round, as in the fresh interpreter of one benchmark
+unit or one `aschur verify` call.  The warm case is the regime of one
+long-running process.  It also times `SchurElement.__mul__` on two sums
+over all weights at (5, 4), whose terms it pairs by middle weight, and
+one build of the q17-19 suite at (5, 4), which computes every phi
+product of its instances (after one warm-up build).
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from aschur.hecke import young_parabolic
 from aschur.ring import LaurentPoly
 from aschur.schur import SchurBasisIndex, SchurElement, _mul_basis, identity_element
 from aschur.weights import all_weights
+from conftest import clear_aweyl_caches
 
 N, R = 5, 4
 PAIRS = 64
@@ -46,13 +51,19 @@ def _pairs(seed: int = 15) -> list[tuple[SchurBasisIndex, SchurBasisIndex]]:
     return out
 
 
+def _products(pairs):
+    return [_mul_basis(k1, k2) for k1, k2 in pairs]
+
+
 def test_mul_basis_pairs(benchmark):
-    pairs = _pairs()
+    products = benchmark(_products, _pairs())
+    assert len(products) == PAIRS and any(p.terms for p in products)
 
-    def run():
-        return [_mul_basis(k1, k2) for k1, k2 in pairs]
 
-    products = benchmark(run)
+def test_mul_basis_pairs_cold(benchmark):
+    products = benchmark.pedantic(
+        _products, args=(_pairs(),), setup=clear_aweyl_caches, rounds=20, iterations=1
+    )
     assert len(products) == PAIRS and any(p.terms for p in products)
 
 

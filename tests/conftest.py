@@ -6,6 +6,7 @@ group elements by full image composition only, so it can referee them.
 """
 from __future__ import annotations
 
+from aschur import aweyl
 from aschur.aweyl import AffinePerm
 
 
@@ -25,3 +26,10 @@ def bfs_word_lengths(r: int, max_length: int) -> dict[AffinePerm, int]:
                     nxt.append(v)
         frontier = nxt
     return out
+
+
+def clear_aweyl_caches() -> None:
+    """Empty every cache of `aweyl`, as a fresh interpreter has them."""
+    for f in vars(aweyl).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()

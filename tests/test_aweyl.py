@@ -19,6 +19,7 @@ from aschur.aweyl import (
     descends_left,
     is_distinguished_right,
     is_double_coset_min,
+    is_min_window,
     left_slots,
     right_step,
     semidirect_decompose,
@@ -146,6 +147,55 @@ def test_ascends_right_matches_right_step():
     assert cases > 20_000
     with pytest.raises(ValueError, match="no generator"):
         ascends_right((1,), 1)
+
+
+def test_step_caches_match_their_bodies():
+    # each cached window step returns what its uncached body returns, on the
+    # inputs of the exhaustive test above
+    cases = 0
+    for r in range(2, 7):
+        for w in enumerate_up_to_length(r, 5):
+            window = w.window
+            for i in range(1, r + 1):
+                assert right_step(window, i) == right_step.__wrapped__(window, i), (window, i)
+                gens = frozenset({i})
+                for z in range(-2, 3):
+                    left = left_slots(gens, z, r)
+                    assert descends_left(window, left) == descends_left.__wrapped__(window, left)
+                    assert is_min_window(window, left, gens) == is_min_window.__wrapped__(
+                        window, left, gens), (window, z, i)
+                    cases += 1
+    assert cases > 20_000
+    # at r = 1 there is no generator: the error is raised again on every
+    # call, not cached as a value
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no generator"):
+            right_step((1,), 1)
+
+
+def test_min_window_matches_length_oracle():
+    # d = rho^z w is minimal in W_pi1 d W_pi2 exactly when l(s d) > l(d) for
+    # s in pi1 and l(d s) > l(d) for s in pi2, by the general product and
+    # the length formula: every pair of parabolics of one or two generators
+    # at r = 3, 4, every l(w) <= 4 and rho powers -1..1
+    cases = 0
+    for r in (3, 4):
+        gens = [AffinePerm.s(r, i) for i in range(1, r + 1)]
+        parabolics = [frozenset(c) for k in (1, 2) for c in combinations(range(1, r + 1), k)]
+        for w in enumerate_up_to_length(r, 4):
+            for z in (-1, 0, 1):
+                d = w.mul_rho_left(z)
+                ell = d.length()
+                up_left = {i for i, s in enumerate(gens, 1) if (s * d).length() > ell}
+                up_right = {i for i, s in enumerate(gens, 1) if (d * s).length() > ell}
+                for gens1 in parabolics:
+                    pi1 = ParabolicIndex(r, gens1)
+                    for gens2 in parabolics:
+                        expected = gens1 <= up_left and gens2 <= up_right
+                        assert is_min_window(d.window, left_slots(gens1, z, r), gens2) == expected
+                        assert is_double_coset_min(d, pi1, ParabolicIndex(r, gens2)) == expected
+                        cases += 1
+    assert cases > 20_000
 
 
 def test_public_constructors_reject_invalid_windows():

@@ -551,6 +551,26 @@ def test_zeta_right_anchor():
             assert act_expr_basis(n, z, b) == act_expr_basis(n, anchored, b)
 
 
+def test_zeta_en_transport_fails_at_n_2_r_1(capsys):
+    # A known failure, pinned as it stands: at n = 2 nodes 1 and 2 of the
+    # affine diagram are joined twice, and zeta-en-transport commutes E_1
+    # past E_n and F_n as it may only for n >= 3.  Its n = 2 form is an open
+    # item in ROADMAP.md; the row and its range stay as they are.
+    n, r = 2, 1
+    assert cli.main(["verify", "--suite", "zeta", "--n", str(n), "--r", str(r)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "8/9 checks passed"
+    (row,) = [line for line in lines if line.startswith("FAIL")]
+    counterexample = "e[1] -> (-1)*e[-1]"
+    assert row.startswith("FAIL  zeta-en-transport  ")
+    assert row.endswith(f"counterexample: {counterexample}")
+    # the counterexample replays through the Laurent route
+    (inst,) = [i for i in suite("zeta", n, r) if i.name == "zeta-en-transport"]
+    b = (1,)
+    diff = vec_sub(act_expr_basis(n, inst.lhs, b), act_expr_basis(n, inst.rhs, b))
+    assert f"{render_basis(b)} -> {render_vector(diff)}" == counterexample
+
+
 def test_suite_names_and_instantiation():
     with pytest.raises(ValueError):
         suite("nonsense", 3, 2)

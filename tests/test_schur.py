@@ -21,6 +21,7 @@ from aschur.schur import (
     phi_value,
 )
 from aschur.weights import Weight, all_weights, omega
+from conftest import clear_aweyl_caches
 
 Q = LaurentPoly.q()
 
@@ -417,6 +418,28 @@ def test_module_product_matches_hecke_route_on_a_sample(n, r, count):
             for a, b in ((lam, mu), (mu, nu))
         )
         _check_product(k1, k2, corrupt=True)
+
+
+def test_mul_basis_is_the_same_with_cold_and_warm_caches():
+    # the aweyl caches hold pure functions of tuples: a product computed
+    # with every one of them emptied equals the one computed warm
+    rng = random.Random(22)
+    n, r = 4, 3
+    weights = all_weights(n, r)
+    elems = list(enumerate_up_to_length(r, 3))
+    pairs = []
+    for _ in range(40):
+        lam, mu, nu = (rng.choice(weights) for _ in range(3))
+        pairs.append(tuple(
+            SchurBasisIndex.make(a, b, rng.choice(elems).mul_rho_left(rng.randint(-1, 2)))
+            for a, b in ((lam, mu), (mu, nu))
+        ))
+    cold = []
+    for k1, k2 in pairs:
+        clear_aweyl_caches()
+        cold.append(_mul_basis(k1, k2))
+    warm = [_mul_basis(k1, k2) for k1, k2 in pairs]
+    assert cold == warm and any(p.terms for p in cold)
 
 
 def test_module_expansion_guards():

@@ -1,13 +1,18 @@
 """Command-line surface: computation and verification, batch only.
 
-Subcommands: weyl, hecke, schur, tensor, verify (a relation suite of
-aschur.present at --n and --r), monomial and matrix.  Exit status: 0 on
-success (all checks pass), 1 on verification failure, 2 on usage errors,
-3 on an internal error (any other exception, reported in one line).  A
-usage error is a `UsageError`: a ValueError is one only while a flag's
-value is read (`_read`), and anywhere else it is an internal error.
-Structured output is line-delimited JSON records, each carrying a
-"schema" field.
+The grammar is one table, `COMMANDS`: each command (weyl, hecke, schur,
+tensor, verify, which checks a relation suite of aschur.present at --n
+and --r, monomial and matrix) has its help text, the dimensions it takes
+(--n, --r) and its actions, and each action its handler, its required
+flags and its optional ones.  `main` checks the required flags, runs the
+handler and prints the `(text, record)` or `(text, record, exit code)`
+it returns once, in the chosen format.  Exit status: 0 on success (all
+checks pass), 1 on verification failure, 2 on usage errors (argparse's
+own included), 3 on an internal error (any other exception); a 2 or a 3
+is reported in one line on stderr.  A usage error is a `UsageError`: a
+ValueError is one only while a flag's value is read (`_read`), and
+anywhere else it is an internal error.  Structured output is
+line-delimited JSON records, each carrying a "schema" field.
 """
 from __future__ import annotations
 
@@ -87,13 +92,6 @@ def _parse_word(text: str, n: int) -> tuple[Sym, ...]:
     return tuple(syms)
 
 
-def _emit(args, text: str, record: dict):
-    if args.format == "structured":
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print(text)
-
-
 def _require_affine(n: int, r: int):
     if n <= r:
         raise UsageError(
@@ -123,63 +121,6 @@ def _parabolic(r: int, text: str | None, flag: str) -> ParabolicIndex:
     return _read(flag, lambda: ParabolicIndex.make(r, _parse_ints(text) if text else ()))
 
 
-# -- subcommand handlers -----------------------------------------------------------
-
-
-def _cmd_weyl(args) -> int:
-    r = args.r
-    if args.action == "compose":
-        if not args.a or not args.b:
-            raise UsageError("compose needs --a and --b")
-        a = _parse_perm(args.a, r, "--a")
-        b = _parse_perm(args.b, r, "--b")
-        w = a * b
-        _emit(args, w.render(), {"schema": "aschur.perm/1", **w.structured()})
-        return 0
-    if args.images:
-        w = _read("--images", lambda: AffinePerm.from_images(r, _parse_ints(args.images)))
-    elif args.perm:
-        w = _parse_perm(args.perm, r, "--perm")
-    else:
-        raise UsageError("give the element via --images or --perm")
-    if args.action == "length":
-        _emit(args, str(w.length()),
-              {"schema": "aschur.length/1", "perm": w.structured(), "length": w.length()})
-    elif args.action == "reduced":
-        word = w.reduced_word()
-        text = " ".join(f"s{i}" for i in word) if word else "(empty)"
-        _emit(args, f"rho^{w.z} ; {text}",
-              {"schema": "aschur.word/1", "z": w.z, "word": list(word)})
-    elif args.action == "coset":
-        par, dist = coset_decompose(w, _parabolic(r, args.pi, "--pi"), args.side)
-        _emit(args, f"parabolic: {par.render()}  distinguished: {dist.render()}",
-              {"schema": "aschur.coset/1", "parabolic": par.structured(),
-               "distinguished": dist.structured()})
-    elif args.action == "mincoset":
-        d = double_coset_min(w, _parabolic(r, args.pi1, "--pi1"), _parabolic(r, args.pi2, "--pi2"))
-        _emit(args, d.render(), {"schema": "aschur.perm/1", **d.structured()})
-    return 0
-
-
-def _cmd_hecke(args) -> int:
-    if args.action == "mul":
-        if not args.a or not args.b:
-            raise UsageError("mul needs --a and --b")
-        a = t_element(_parse_perm(args.a, args.r, "--a"))
-        b = t_element(_parse_perm(args.b, args.r, "--b"))
-        h = a * b
-        _emit(args, h.render(), {"schema": "aschur.hecke/1", "terms": h.structured()})
-    elif args.action == "xlambda":
-        if not args.lam:
-            raise UsageError("xlambda needs --lambda")
-        lam = _read("--lambda", parse_weight, args.lam)
-        if lam.r != args.r:
-            raise UsageError(f"--lambda {args.lam!r} must sum to --r = {args.r}")
-        h = x_lambda(lam, args.shift)
-        _emit(args, h.render(), {"schema": "aschur.hecke/1", "terms": h.structured()})
-    return 0
-
-
 def _parse_phi(n: int, r: int, text: str, flag: str) -> SchurBasisIndex:
     """'lam | d | mu' with weights as comma lists and d in rho^z*[...] form."""
     parts = [p.strip() for p in text.split("|")]
@@ -191,246 +132,299 @@ def _parse_phi(n: int, r: int, text: str, flag: str) -> SchurBasisIndex:
     return _read(flag, SchurBasisIndex, lam, mu, d)
 
 
-def _cmd_schur(args) -> int:
-    n, r = args.n, args.r
-    if args.action == "phi":
-        if not (args.lam and args.mu and args.d):
-            raise UsageError("phi needs --lambda, --mu and --d")
-        idx = _read(
-            "--d",
-            SchurBasisIndex,
-            _parse_weight(args.lam, n, r, "--lambda"),
-            _parse_weight(args.mu, n, r, "--mu"),
-            _parse_perm(args.d, r, "--d"),
-        )
-        h = phi_value(idx)
-        _emit(args, h.render(), {"schema": "aschur.hecke/1", "terms": h.structured()})
-    elif args.action == "mul":
-        if not args.a or not args.b:
-            raise UsageError("mul needs --a and --b")
-        a = SchurElement.basis(_parse_phi(n, r, args.a, "--a"))
-        b = SchurElement.basis(_parse_phi(n, r, args.b, "--b"))
-        c = a * b
-        _emit(args, c.render(), {"schema": "aschur.schur/1", "terms": c.structured()})
-    elif args.action == "embed":
-        if not args.perm:
-            raise UsageError("embed needs --perm")
-        h = t_element(_parse_perm(args.perm, r, "--perm"))
-        s = _read("--n", hecke_embed, h, n)
-        _emit(args, s.render(), {"schema": "aschur.schur/1", "terms": s.structured()})
-    return 0
+def _coset_data(args) -> tuple[Weight, Weight, AffinePerm]:
+    """(lambda, mu, d) of --lambda, --mu and --d, read against --n and --r."""
+    return (_parse_weight(args.lam, args.n, args.r, "--lambda"),
+            _parse_weight(args.mu, args.n, args.r, "--mu"), _parse_perm(args.d, args.r, "--d"))
 
 
-def _cmd_tensor(args) -> int:
-    n = args.n
-    if args.action == "act":
-        if not args.word or not args.vector:
-            raise UsageError("act needs --word and --vector")
-        word = OperatorExpr.word(_read("--word", _parse_word, args.word, n))
-        vec = act_expr_basis(n, word, _read("--vector", _parse_ints, args.vector))
-        _emit(args, render_vector(vec),
-              {"schema": "aschur.vector/1",
-               "terms": [
-                   {"basis": list(b), "coeff": c.structured()}
-                   for b, c in sorted(vec.items())
-               ]})
-    elif args.action == "weightspace":
-        if not args.lam:
-            raise UsageError("weightspace needs --lambda")
-        hi = args.hi if args.hi is not None else n
-        if hi < args.lo:
-            raise UsageError(f"--lo {args.lo} is above --hi {hi}")
-        lam = _read("--lambda", parse_weight, args.lam)
-        basis = _read("--lambda", weight_space_basis, n, lam, args.lo, hi)
-        text = "\n".join("e[" + ",".join(map(str, b)) + "]" for b in basis)
-        _emit(args, text if basis else "(empty)",
-              {"schema": "aschur.basis/1", "vectors": [list(b) for b in basis]})
-    return 0
+# -- action handlers: each returns (text, record) or (text, record, exit code) ------
+# (verify's record is the list of its check records, one JSON line each)
 
 
-def _cmd_verify(args) -> int:
+def _flat(schema: str, x):
+    """A permutation or a matrix as its rendering and its fields."""
+    return x.render(), {"schema": schema, **x.structured()}
+
+
+def _terms(schema: str, x):
+    """A Hecke or Schur element as its rendering and its terms."""
+    return x.render(), {"schema": schema, "terms": x.structured()}
+
+
+def _element(args) -> AffinePerm:
+    """The Weyl group element of --images or --perm."""
+    if args.images:
+        return _read("--images", lambda: AffinePerm.from_images(args.r, _parse_ints(args.images)))
+    if args.perm:
+        return _parse_perm(args.perm, args.r, "--perm")
+    raise UsageError("give the element via --images or --perm")
+
+
+def _compose(args):
+    a, b = _parse_perm(args.a, args.r, "--a"), _parse_perm(args.b, args.r, "--b")
+    return _flat("aschur.perm/1", a * b)
+
+
+def _length(args):
+    w = _element(args)
+    return str(w.length()), {"schema": "aschur.length/1", "perm": w.structured(),
+                             "length": w.length()}
+
+
+def _reduced(args):
+    w = _element(args)
+    word = w.reduced_word()
+    text = " ".join(f"s{i}" for i in word) if word else "(empty)"
+    return f"rho^{w.z} ; {text}", {"schema": "aschur.word/1", "z": w.z, "word": list(word)}
+
+
+def _coset(args):
+    par, dist = coset_decompose(_element(args), _parabolic(args.r, args.pi, "--pi"), args.side)
+    return (f"parabolic: {par.render()}  distinguished: {dist.render()}",
+            {"schema": "aschur.coset/1", "parabolic": par.structured(),
+             "distinguished": dist.structured()})
+
+
+def _mincoset(args):
+    w = _element(args)
+    pi1, pi2 = _parabolic(args.r, args.pi1, "--pi1"), _parabolic(args.r, args.pi2, "--pi2")
+    return _flat("aschur.perm/1", double_coset_min(w, pi1, pi2))
+
+
+def _hecke_mul(args):
+    a = t_element(_parse_perm(args.a, args.r, "--a"))
+    b = t_element(_parse_perm(args.b, args.r, "--b"))
+    return _terms("aschur.hecke/1", a * b)
+
+
+def _xlambda(args):
+    lam = _read("--lambda", parse_weight, args.lam)
+    if lam.r != args.r:
+        raise UsageError(f"--lambda {args.lam!r} must sum to --r = {args.r}")
+    return _terms("aschur.hecke/1", x_lambda(lam, args.shift))
+
+
+def _phi(args):
+    return _terms("aschur.hecke/1", phi_value(_read("--d", SchurBasisIndex, *_coset_data(args))))
+
+
+def _schur_mul(args):
+    a = SchurElement.basis(_parse_phi(args.n, args.r, args.a, "--a"))
+    b = SchurElement.basis(_parse_phi(args.n, args.r, args.b, "--b"))
+    return _terms("aschur.schur/1", a * b)
+
+
+def _embed(args):
+    h = t_element(_parse_perm(args.perm, args.r, "--perm"))
+    return _terms("aschur.schur/1", _read("--n", hecke_embed, h, args.n))
+
+
+def _act(args):
+    word = OperatorExpr.word(_read("--word", _parse_word, args.word, args.n))
+    vec = act_expr_basis(args.n, word, _read("--vector", _parse_ints, args.vector))
+    return render_vector(vec), {"schema": "aschur.vector/1", "terms": [
+        {"basis": list(b), "coeff": c.structured()} for b, c in sorted(vec.items())]}
+
+
+def _weightspace(args):
+    hi = args.hi if args.hi is not None else args.n
+    if hi < args.lo:
+        raise UsageError(f"--lo {args.lo} is above --hi {hi}")
+    lam = _read("--lambda", parse_weight, args.lam)
+    basis = _read("--lambda", weight_space_basis, args.n, lam, args.lo, hi)
+    text = "\n".join("e[" + ",".join(map(str, b)) + "]" for b in basis)
+    return (text if basis else "(empty)",
+            {"schema": "aschur.basis/1", "vectors": [list(b) for b in basis]})
+
+
+def _verify(args):
     if SUITES[args.suite].needs_n_gt_r:
         _require_affine(args.n, args.r)
     reports = run_suite(args.suite, args.n, args.r)
-    failures = 0
-    for rep in reports:
-        if args.format == "structured":
-            print(json.dumps(rep.structured(), sort_keys=True))
-        else:
-            print(rep.line())
-        failures += 0 if rep.passed else 1
-    summary = f"{len(reports) - failures}/{len(reports)} checks passed"
-    if args.format != "structured":
-        print(summary)
-    return 0 if failures == 0 else 1
+    passed = sum(rep.passed for rep in reports)
+    text = "\n".join([rep.line() for rep in reports] + [f"{passed}/{len(reports)} checks passed"])
+    return text, [rep.structured() for rep in reports], 0 if passed == len(reports) else 1
 
 
-def _cmd_monomial(args) -> int:
+def _affine_weight(args) -> Weight:
+    """--lambda, for the transport monomials, which need n > r."""
+    _require_affine(args.n, args.r)
+    return _parse_weight(args.lam, args.n, args.r, "--lambda")
+
+
+def _monomial(label: str, word, **weights):
+    """A transport monomial after the weights it leads to."""
+    text = "".join(f"{k}={w.render()}\n" for k, w in weights.items()) + f"{label} = {word.render()}"
+    return text, {"schema": "aschur.monomial/1", "word": word.render(),
+                  **{k: list(w.parts) for k, w in weights.items()}}
+
+
+def _m1(args):
+    m1, mu = _read("--lambda", build_M1, _affine_weight(args))
+    return _monomial("M1", m1, mu=mu)
+
+
+def _m2(args):
+    m2, nu = _read("--lambda", build_M2, mu_from_lambda(_affine_weight(args)))
+    return _monomial("M2", m2, nu=nu)
+
+
+def _m3(args):
+    nu = nu_from_mu(mu_from_lambda(_affine_weight(args)))
+    return _monomial("M3", _read("--lambda", build_M3, nu))
+
+
+def _m(args):
+    return _monomial("M", _read("--lambda", build_M, _affine_weight(args)))
+
+
+def _factor_en(args):
     n, r = args.n, args.r
-    _require_affine(n, r)
-    lam = _parse_weight(args.lam, n, r, "--lambda")
-    if args.action == "m1":
-        m1, mu = _read("--lambda", build_M1, lam)
-        _emit(args, f"mu={mu.render()}\nM1 = {m1.render()}",
-              {"schema": "aschur.monomial/1", "mu": list(mu.parts), "word": m1.render()})
-    elif args.action == "m2":
-        mu = mu_from_lambda(lam)
-        m2, nu = _read("--lambda", build_M2, mu)
-        _emit(args, f"nu={nu.render()}\nM2 = {m2.render()}",
-              {"schema": "aschur.monomial/1", "nu": list(nu.parts), "word": m2.render()})
-    elif args.action == "m3":
-        nu = nu_from_mu(mu_from_lambda(lam))
-        m3 = _read("--lambda", build_M3, nu)
-        _emit(args, f"M3 = {m3.render()}",
-              {"schema": "aschur.monomial/1", "word": m3.render()})
-    elif args.action == "m":
-        m = _read("--lambda", build_M, lam)
-        _emit(args, f"M = {m.render()}",
-              {"schema": "aschur.monomial/1", "word": m.render()})
-    elif args.action == "factor-en":
-        res = _read("--lambda", factor_En, n, r, lam)
-        text = (f"E_{n} 1_lam = z * sigma(W) (E_{n} 1_omega) M\n"
-                f"z = {res.render_z()}\nholds: {res.holds}\nwindow: {res.window}")
-        _emit(args, text,
-              {"schema": "aschur.factor/1", "z_num": res.z_num.structured(),
-               "z_den": res.z_den.structured(), "holds": res.holds,
-               "window": res.window})
-        return 0 if res.holds else 1
-    return 0
+    res = _read("--lambda", factor_En, n, r, _affine_weight(args))
+    text = (f"E_{n} 1_lam = z * sigma(W) (E_{n} 1_omega) M\n"
+            f"z = {res.render_z()}\nholds: {res.holds}\nwindow: {res.window}")
+    return text, {"schema": "aschur.factor/1", "z_num": res.z_num.structured(),
+                  "z_den": res.z_den.structured(), "holds": res.holds,
+                  "window": res.window}, 0 if res.holds else 1
 
 
 def _parse_entries(text: str) -> list[tuple[int, int, int]]:
-    out = []
-    for part in text.split(";"):
-        i, j, v = _parse_ints(part)
-        out.append((i, j, v))
-    return out
+    return [(i, j, v) for i, j, v in map(_parse_ints, text.split(";"))]
 
 
-def _cmd_matrix(args) -> int:
-    n, r = args.n, args.r
-    if args.action == "from-coset":
-        if not (args.lam and args.mu and args.d):
-            raise UsageError("from-coset needs --lambda, --mu and --d")
-        a = _read(
-            "--d",
-            matrix_from_coset,
-            _parse_weight(args.lam, n, r, "--lambda"),
-            _parse_weight(args.mu, n, r, "--mu"),
-            _parse_perm(args.d, r, "--d"),
-        )
-        _emit(args, a.render(), {"schema": "aschur.matrix/1", **a.structured()})
-        return 0
-    if not args.entries:
-        raise UsageError(f"{args.action} needs --entries")
-    entries = _read("--entries", _parse_entries, args.entries)
-    a = _read("--entries", PeriodicMatrix, n, r, tuple(sorted(entries)))
-    if args.action == "to-coset":
-        lam, mu, d = _read("--entries", coset_from_matrix, a)
-        _emit(args, f"lambda={lam.render()} mu={mu.render()} d={d.render()}",
-              {"schema": "aschur.coset/1", "lambda": list(lam.parts),
-               "mu": list(mu.parts), "d": d.structured()})
-    elif args.action == "dstat":
-        _emit(args, str(d_stat(a)),
-              {"schema": "aschur.dstat/1", "d": d_stat(a)})
-    elif args.action == "aperiodic":
-        _emit(args, str(is_aperiodic(a)).lower(),
-              {"schema": "aschur.aperiodic/1", "aperiodic": is_aperiodic(a)})
-    return 0
+def _matrix(args) -> PeriodicMatrix:
+    """The periodic matrix of --entries, at --n and --r."""
+    return _read("--entries", lambda: PeriodicMatrix(
+        args.n, args.r, tuple(sorted(_parse_entries(args.entries)))))
 
 
-# -- parser ------------------------------------------------------------------------
+def _from_coset(args):
+    return _flat("aschur.matrix/1", _read("--d", matrix_from_coset, *_coset_data(args)))
+
+
+def _to_coset(args):
+    lam, mu, d = _read("--entries", coset_from_matrix, _matrix(args))
+    return (f"lambda={lam.render()} mu={mu.render()} d={d.render()}",
+            {"schema": "aschur.coset/1", "lambda": list(lam.parts), "mu": list(mu.parts),
+             "d": d.structured()})
+
+
+def _dstat(args):
+    d = d_stat(_matrix(args))
+    return str(d), {"schema": "aschur.dstat/1", "d": d}
+
+
+def _aperiodic(args):
+    aperiodic = is_aperiodic(_matrix(args))
+    return str(aperiodic).lower(), {"schema": "aschur.aperiodic/1", "aperiodic": aperiodic}
+
+
+# -- the grammar -------------------------------------------------------------------
+
+# command: (help, dimensions, {action: (handler, required flags, optional flags)});
+# verify has no action, its one entry is keyed None
+COMMANDS = {
+    "weyl": ("extended affine Weyl group", ("--r",), {
+        "compose": (_compose, ("--a", "--b"), ()),
+        "length": (_length, (), ("--images", "--perm")),
+        "reduced": (_reduced, (), ("--images", "--perm")),
+        "coset": (_coset, (), ("--images", "--perm", "--pi", "--side")),
+        "mincoset": (_mincoset, (), ("--images", "--perm", "--pi1", "--pi2")),
+    }),
+    "hecke": ("affine Hecke algebra", ("--r",), {
+        "mul": (_hecke_mul, ("--a", "--b"), ()),
+        "xlambda": (_xlambda, ("--lambda",), ("--shift",)),
+    }),
+    "schur": ("affine q-Schur algebra", ("--n", "--r"), {
+        "mul": (_schur_mul, ("--a", "--b"), ()),
+        "phi": (_phi, ("--lambda", "--mu", "--d"), ()),
+        "embed": (_embed, ("--perm",), ()),
+    }),
+    "tensor": ("tensor space action", ("--n",), {
+        "act": (_act, ("--word", "--vector"), ()),
+        "weightspace": (_weightspace, ("--lambda",), ("--lo", "--hi")),
+    }),
+    "verify": ("relation suites", ("--n", "--r"), {None: (_verify, ("--suite",), ())}),
+    "monomial": ("transport monomials and E_n factorization", ("--n", "--r"), {
+        action: (handler, ("--lambda",), ()) for action, handler in
+        (("m1", _m1), ("m2", _m2), ("m3", _m3), ("m", _m), ("factor-en", _factor_en))}),
+    "matrix": ("periodic matrix indexing", ("--n", "--r"), {
+        "from-coset": (_from_coset, ("--lambda", "--mu", "--d"), ()),
+        "to-coset": (_to_coset, ("--entries",), ()),
+        "dstat": (_dstat, ("--entries",), ()),
+        "aperiodic": (_aperiodic, ("--entries",), ()),
+    }),
+}
+# argparse settings of a flag beyond a plain optional string: help, type, choices, default
+FLAGS = {
+    "--images": dict(help="comma-separated images of 1..r"),
+    "--perm": dict(help="rho^z * [w1,...,wr]"),
+    "--pi": dict(help="parabolic generator indices, e.g. 1,2"),
+    "--side": dict(choices=("left", "right"), default="left"),
+    "--lambda": dict(help="weight, e.g. 2,1,0"),
+    "--shift": dict(type=int, default=0),
+    "--word": dict(help="operator word, e.g. 'E1 F2 R P(1,1,0)'"),
+    "--vector": dict(help="basis tensor indices, e.g. 1,2"),
+    "--lo": dict(type=int, default=1),
+    "--hi": dict(type=int),
+    "--suite": dict(choices=SUITE_NAMES),
+    "--entries": dict(help="semicolon-separated i,j,v triples"),
+}
+
+
+def _dest(flag: str) -> str:
+    # `lambda` is a keyword, so --lambda is read as args.lam
+    return "lam" if flag == "--lambda" else flag[2:]
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse's own errors are usage errors too: exit 2 in one line, not a
+    # SystemExit after a usage dump
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="aschur",
         description="Exact affine Weyl / Hecke / q-Schur computations and relation verification.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, need_n=False, need_r=True):
+    for command, (help_text, dims, actions) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if None not in actions:
+            p.add_argument("action", choices=tuple(actions))
         p.add_argument("--format", choices=("text", "structured"), default="text")
-        if need_n:
-            p.add_argument("--n", type=int, required=True)
-        if need_r:
-            p.add_argument("--r", type=int, required=True)
-
-    w = sub.add_parser("weyl", help="extended affine Weyl group")
-    w.add_argument("action", choices=("compose", "length", "reduced", "coset", "mincoset"))
-    common(w)
-    w.add_argument("--images", help="comma-separated images of 1..r")
-    w.add_argument("--perm", help="rho^z * [w1,...,wr]")
-    w.add_argument("--a")
-    w.add_argument("--b")
-    w.add_argument("--pi", help="parabolic generator indices, e.g. 1,2")
-    w.add_argument("--pi1")
-    w.add_argument("--pi2")
-    w.add_argument("--side", choices=("left", "right"), default="left")
-    w.set_defaults(func=_cmd_weyl)
-
-    h = sub.add_parser("hecke", help="affine Hecke algebra")
-    h.add_argument("action", choices=("mul", "xlambda"))
-    common(h)
-    h.add_argument("--a", help="basis permutation for T_a")
-    h.add_argument("--b", help="basis permutation for T_b")
-    h.add_argument("--lambda", dest="lam", help="weight, e.g. 2,1,0")
-    h.add_argument("--shift", type=int, default=0)
-    h.set_defaults(func=_cmd_hecke)
-
-    s = sub.add_parser("schur", help="affine q-Schur algebra")
-    s.add_argument("action", choices=("mul", "phi", "embed"))
-    common(s, need_n=True)
-    s.add_argument("--a", help="basis index 'lam | d | mu'")
-    s.add_argument("--b", help="basis index 'lam | d | mu'")
-    s.add_argument("--lambda", dest="lam")
-    s.add_argument("--mu")
-    s.add_argument("--d")
-    s.add_argument("--perm")
-    s.set_defaults(func=_cmd_schur)
-
-    t = sub.add_parser("tensor", help="tensor space action")
-    t.add_argument("action", choices=("act", "weightspace"))
-    common(t, need_n=True, need_r=False)
-    t.add_argument("--word", help="operator word, e.g. 'E1 F2 R P(1,1,0)'")
-    t.add_argument("--vector", help="basis tensor indices, e.g. 1,2")
-    t.add_argument("--lambda", dest="lam")
-    t.add_argument("--lo", type=int, default=1)
-    t.add_argument("--hi", type=int)
-    t.set_defaults(func=_cmd_tensor)
-
-    v = sub.add_parser("verify", help="relation suites")
-    v.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    common(v, need_n=True)
-    v.set_defaults(func=_cmd_verify)
-
-    m = sub.add_parser("monomial", help="transport monomials and E_n factorization")
-    m.add_argument("action", choices=("m1", "m2", "m3", "m", "factor-en"))
-    common(m, need_n=True)
-    m.add_argument("--lambda", dest="lam", required=True)
-    m.set_defaults(func=_cmd_monomial)
-
-    x = sub.add_parser("matrix", help="periodic matrix indexing")
-    x.add_argument("action", choices=("from-coset", "to-coset", "dstat", "aperiodic"))
-    common(x, need_n=True)
-    x.add_argument("--lambda", dest="lam")
-    x.add_argument("--mu")
-    x.add_argument("--d")
-    x.add_argument("--entries", help="semicolon-separated i,j,v triples")
-    x.set_defaults(func=_cmd_matrix)
-
+        for dim in dims:
+            p.add_argument(dim, type=int, required=True)
+        flags = [f for _, required, optional in actions.values() for f in required + optional]
+        for flag in dict.fromkeys(flags):  # each once, in table order
+            p.add_argument(flag, dest=_dest(flag), **FLAGS.get(flag, {}))
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        for flag in ("n", "r"):
-            value = getattr(args, flag, None)
-            if value is not None and value < 1:
-                raise UsageError(f"--{flag} must be positive (got {value})")
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+        _, dims, actions = COMMANDS[args.command]
+        for dim in dims:
+            value = getattr(args, dim[2:])
+            if value < 1:
+                raise UsageError(f"{dim} must be positive (got {value})")
+        action = getattr(args, "action", None)
+        handler, required, _ = actions[action]
+        if not all(getattr(args, _dest(flag)) for flag in required):
+            *rest, last = required
+            listed = f"{', '.join(rest)} and {last}" if rest else last
+            raise UsageError(f"{action or args.command} needs {listed}")
+        text, record, *code = handler(args)
+        if args.format == "structured":
+            for rec in record if isinstance(record, list) else [record]:
+                print(json.dumps(rec, sort_keys=True))
+        else:
+            print(text)
+        return code[0] if code else 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -13,10 +13,12 @@ unit or one `aschur verify` call.  The warm case is the regime of one
 long-running process.  It also times `SchurElement.__mul__` on two sums
 over all weights at (5, 4), whose terms it pairs by middle weight, and
 one build of the q17-19 suite at (5, 4), which computes every phi
-product of its instances (after one warm-up build).
+product of its instances (after one warm-up build, and after a garbage
+collection in each round's setup).
 """
 from __future__ import annotations
 
+import gc
 import random
 
 from aschur import present
@@ -78,8 +80,16 @@ def test_weight_summed_product(benchmark):
     assert benchmark(unit.__mul__, x) == x
 
 
+def _collect_garbage():
+    # before each round, so that no round pays for the cyclic garbage of the
+    # one before it (`gc.collect` itself returns a count, which pedantic
+    # would read as the round's arguments)
+    gc.collect()
+
+
 def test_q17_19_build(benchmark):
     insts = benchmark.pedantic(
-        present.suite, args=("q17-19", N, R), rounds=10, iterations=1, warmup_rounds=1
+        present.suite, args=("q17-19", N, R), setup=_collect_garbage, rounds=10, iterations=1,
+        warmup_rounds=1,
     )
     assert insts and all(inst.domain == "phi" for inst in insts)

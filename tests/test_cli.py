@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aschur.cli import main
+from aschur.cli import COMMANDS, FLAGS, main
+from aschur.present import SUITE_NAMES
 
 
 def run(capsys, *argv):
@@ -286,3 +293,121 @@ def test_dimensions_must_match_n_and_r(capsys):
         assert code == 2 and out == "", argv
         assert err.startswith("usage error: ") and err.count("\n") == 1, (argv, err)
 
+
+@pytest.mark.parametrize("argv", [
+    ("weyl", "--r", "3"),  # no action
+    ("weyl", "length", "--images", "1,2,3"),  # no --r
+    ("tensor", "act", "--n", "x", "--word", "E1", "--vector", "1"),  # --n not an integer
+    ("verify", "--suite", "bogus", "--n", "3", "--r", "2"),  # no such suite
+])
+def test_argparse_errors_are_one_line_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("weyl", "--help"), ("verify", "-h")])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: aschur")
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each `aschur ...` line of README's "Command line" block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("aschur ")]
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_commands_run(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)  # the last --format wins
+    assert code == 0 and out and err == "", err
+    if fmt == "structured":
+        assert all("schema" in rec for rec in jlines(out))
+
+
+# the CLI fuzz: a flag's value is malformed one time in eight, and otherwise
+# well formed for the drawn --n and --r, though not always valid for them
+MALFORMED = ["", "x", ",", "|", ";", "[", "P(", "-", "1,,2", "bogus"]
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    """A command and an action of COMMANDS with any of the command's flags,
+    in any order; --n and --r stay at most 4 (3 and 2 for verify, to keep
+    the run short)."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    _, dims, actions = COMMANDS[command]
+    action = draw(st.sampled_from(sorted(actions, key=str)))
+    top = {"--n": 3, "--r": 2} if command == "verify" else {"--n": 4, "--r": 4}
+    n, r = (draw(st.integers(1, top[dim])) for dim in ("--n", "--r"))
+    options = [[dim, draw(st.sampled_from([str(n if dim == "--n" else r)] * 12 + ["0", "-1", "x"]))]
+               for dim in dims]
+
+    def perm() -> str:
+        window = list(draw(st.permutations(range(1, r + 1))))
+        shift = draw(st.integers(-1, 1)) * r if r > 1 else 0
+        window[0], window[-1] = window[0] + shift, window[-1] - shift
+        return ",".join(map(str, window))
+
+    def weight() -> str:
+        parts = [0] * n
+        for _ in range(r):
+            parts[draw(st.integers(0, n - 1))] += 1
+        return ",".join(map(str, parts))
+
+    def symbol() -> str:
+        i = draw(st.integers(1, n))
+        return draw(st.sampled_from([f"E{i}", f"F{i}", f"K{i}", f"Kinv{i}", f"K{i}^-1", "R",
+                                     "Rinv", "R^-1", f"e{i}", f"f{i}", f"H{i}", f"P({weight()})"]))
+
+    element = lambda: f"rho^{draw(st.integers(-1, 1))} * [{perm()}]"
+    values = {
+        "--images": perm, "--perm": element, "--d": element, "--lambda": weight, "--mu": weight,
+        "--pi": lambda: ",".join(map(str, draw(st.sets(st.integers(0, r), max_size=2)))),
+        "--word": lambda: " ".join(symbol() for _ in range(draw(st.integers(1, 3)))),
+        "--vector": lambda: ",".join(str(draw(st.integers(1, n))) for _ in range(r)),
+        "--entries": lambda: ";".join(f"{i},{j},1" for i, j in draw(st.lists(
+            st.tuples(st.integers(1, n), st.integers(1 - n, 2 * n)), min_size=r, max_size=r))),
+    }
+    values["--pi1"] = values["--pi2"] = values["--pi"]
+    values["--a"] = values["--b"] = (lambda: f"{weight()} | {element()} | {weight()}"
+                                     if command == "schur" else element())
+    flags = [f for _, required, optional in actions.values() for f in required + optional]
+    for flag in dict.fromkeys(flags):
+        if draw(st.integers(0, 9)) < (9 if flag in actions[action][1] else 4):
+            spec = FLAGS.get(flag, {})
+            if draw(st.integers(0, 7)) == 0:
+                value = draw(st.sampled_from(MALFORMED))
+            elif "choices" in spec:
+                value = draw(st.sampled_from(spec["choices"]))
+            else:
+                value = str(draw(st.integers(-3, 6))) if spec.get("type") is int else values[flag]()
+            options.append([flag, value])
+    if draw(st.booleans()):
+        options.append(["--format", draw(st.sampled_from(["text", "structured", "json"]))])
+    order = draw(st.permutations(options))
+    cut = draw(st.integers(0, len(order)))  # the action goes between two options
+    before, after = ([t for o in part for t in o] for part in (order[:cut], order[cut:]))
+    return [command] + before + ([] if action is None else [action]) + after
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(cli_argv())
+def test_cli_exit_codes(argv):
+    # main returns, never raises SystemExit; the drawn input is the user's,
+    # so an exit 3 (an internal error) would be a reader that lets the
+    # user's ValueError through or a fault of aschur; a usage error is one
+    # line on stderr and nothing on stdout
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "", argv
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].endswith("\n"), (argv, lines)
+        assert lines[0].startswith("usage error: "), (argv, lines)

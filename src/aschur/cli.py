@@ -42,7 +42,7 @@ from .present import (
     run_suite,
 )
 from .schur import SchurBasisIndex, SchurElement, hecke_embed, phi_value
-from .tensor import act_expr_basis, render_vector, weight_space_basis
+from .tensor import act_expr_basis, render_basis, render_vector, weight_space_basis
 from .operators import Kinv, OperatorExpr, P, R, Rinv, Sym
 from .weights import Weight, parse_weight
 
@@ -233,7 +233,7 @@ def _weightspace(args):
         raise UsageError(f"--lo {args.lo} is above --hi {hi}")
     lam = _read("--lambda", parse_weight, args.lam)
     basis = _read("--lambda", weight_space_basis, args.n, lam, args.lo, hi)
-    text = "\n".join("e[" + ",".join(map(str, b)) + "]" for b in basis)
+    text = "\n".join(map(render_basis, basis))
     return (text if basis else "(empty)",
             {"schema": "aschur.basis/1", "vectors": [list(b) for b in basis]})
 
@@ -295,8 +295,7 @@ def _parse_entries(text: str) -> list[tuple[int, int, int]]:
 
 def _matrix(args) -> PeriodicMatrix:
     """The periodic matrix of --entries, at --n and --r."""
-    return _read("--entries", lambda: PeriodicMatrix(
-        args.n, args.r, tuple(sorted(_parse_entries(args.entries)))))
+    return _read("--entries", lambda: PeriodicMatrix(args.n, args.r, _parse_entries(args.entries)))
 
 
 def _from_coset(args):
@@ -426,11 +425,12 @@ def main(argv: list[str] | None = None) -> int:
             print(text)
         return code[0] if code else 0
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"usage error: {exc}", 2
     except Exception as exc:  # a fault of aschur itself, such as a failed expansion
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        message, code = f"internal error: {type(exc).__name__}: {exc}", 3
+    # one line, though argparse echoes the user's values: a line break is written as \n
+    print("\\n".join(message.splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -9,13 +9,16 @@ of weights and a minimal double-coset representative d is
 
 where B_i^lambda is the i-th block of [1, r] cut by lambda, periodized
 by +r for each +n of block index.  Row sums recover lambda, column sums
-recover mu, and the inverse map rebuilds d by order-preserving filling.
+recover mu, and the inverse map fills any member of the double coset
+W_lambda d W_mu from the entries and takes d from aweyl.double_coset_min.
+A matrix keeps its entries in one order, sorted by (row, column), so
+equal matrices compare equal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aweyl import AffinePerm, is_double_coset_min
+from .aweyl import AffinePerm, double_coset_min, is_double_coset_min
 from .hecke import young_parabolic
 from .ring import LaurentPoly
 from .weights import Weight
@@ -25,9 +28,10 @@ from .weights import Weight
 class PeriodicMatrix:
     n: int
     r: int
-    entries: tuple[tuple[int, int, int], ...]  # (row in 1..n, column, value)
+    entries: tuple[tuple[int, int, int], ...]  # (row in 1..n, column, value), sorted
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
         for i, j, v in self.entries:
             if not 1 <= i <= self.n:
                 raise ValueError("row index outside the stored period")
@@ -40,8 +44,7 @@ class PeriodicMatrix:
 
     @classmethod
     def from_dict(cls, n: int, r: int, d: dict[tuple[int, int], int]) -> PeriodicMatrix:
-        ent = tuple(sorted((i, j, v) for (i, j), v in d.items() if v))
-        return cls(n, r, ent)
+        return cls(n, r, tuple((i, j, v) for (i, j), v in d.items() if v))
 
     def value(self, i: int, j: int) -> int:
         """a_{i,j} for any integers i, j (periodic lookup)."""
@@ -172,38 +175,24 @@ def matrix_from_coset(lam: Weight, mu: Weight, d: AffinePerm) -> PeriodicMatrix:
 def coset_from_matrix(a: PeriodicMatrix) -> tuple[Weight, Weight, AffinePerm]:
     """Invert matrix_from_coset: recover (lambda, mu, d).
 
-    Targets within each row block and sources within each column block are
-    paired in increasing order, which lands on the minimal double-coset
-    representative; the result is validated by round-trip.
+    Row by row, each entry a_{i,j} sends the next a_{i,j} points of block
+    i of lambda to the next a_{i,j} free points of block (j mod n) of mu,
+    shifted by r for each n of column period.  That fills a member of the
+    double coset W_lambda d W_mu, and d is its minimal member
+    (aweyl.double_coset_min).  The result is validated by round-trip.
+
+    >>> coset_from_matrix(PeriodicMatrix(2, 2, ((2, 1, 1), (1, 1, 1))))[2].render()
+    'rho^0 * [1,2]'
     """
     lam, mu = row_col_sums(a)
-    r = a.r
-    lam_blocks = _blocks(lam)
-    mu_blocks = _blocks(mu)
-
-    def col_offset(i: int, j: int) -> int:
-        # entries of the full column j strictly above row i, via translates
-        off = 0
-        for i2, j2, v2 in a.entries:
-            if (j - j2) % a.n == 0:
-                q = (j - j2) // a.n
-                if i2 + q * a.n < i:
-                    off += v2
-        return off
-
-    images = [0] * r
-    for i in range(1, a.n + 1):
-        row = sorted((j, v) for (ii, j, v) in a.entries if ii == i)
-        x = lam_blocks[i - 1][0] + 1
-        for j, v in row:
-            k, j0 = divmod(j - 1, a.n)
-            j0 += 1
-            base = mu_blocks[j0 - 1][0] + k * r
-            start = col_offset(i, j)
-            for s in range(start, start + v):
-                images[x - 1] = base + s + 1
-                x += 1
-    d = AffinePerm.from_images(r, images)
+    free = [lo for lo, _ in _blocks(mu)]  # the last point taken in each block of mu
+    images: list[int] = []
+    for _, j, v in a.entries:  # by row, so the points of lambda's blocks in order
+        k, j0 = divmod(j - 1, a.n)
+        images += range(free[j0] + k * a.r + 1, free[j0] + k * a.r + v + 1)
+        free[j0] += v
+    w = AffinePerm.from_images(a.r, images)
+    d = double_coset_min(w, young_parabolic(lam), young_parabolic(mu))
     if matrix_from_coset(lam, mu, d).entries != a.entries:
         raise ValueError("matrix does not come from a double coset")
     return lam, mu, d

@@ -7,10 +7,13 @@ that workloads.py imports), and it knows the suite names.  This runs every
 unit of the three workloads once, in process, as a worker would, so a
 change that breaks one of those names, or a wrong phi product, fails here
 and not only in a benchmark run.  perfbench/ is imported, never changed.
+The tests/bench_*.py microbenchmarks also run once here, untimed.
 """
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,7 +21,8 @@ import pytest
 
 from aschur import present
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +98,16 @@ def test_tracer_hooks_resolve(bench):
         if not callable(owner):
             missing.add(f"{module}.{attr}")
     assert missing <= STALE_HOOKS, sorted(missing - STALE_HOOKS)
+
+
+def test_microbenchmark_files_run():
+    # outside tier-1's test_*.py names, so an API change that breaks one
+    # would fail nowhere else; one untimed run in a fresh interpreter
+    pytest.importorskip("pytest_benchmark")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--benchmark-disable", "-p", "no:cacheprovider",
+         "tests/bench_phi_products.py", "tests/bench_tensor_action.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

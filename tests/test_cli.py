@@ -306,6 +306,25 @@ def test_argparse_errors_are_one_line_usage_errors(capsys, argv):
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
 
 
+def test_a_line_break_in_a_message_is_escaped(capsys, monkeypatch):
+    # argparse echoes an unrecognized value as it is; the error stays one line
+    code, out, err = run(capsys, "weyl", "length", "--r", "3", "--images", "1,2,3", "a\nb")
+    assert code == 2 and out == ""
+    assert err == "usage error: unrecognized arguments: a\\nb\n"
+    from aschur import schur
+
+    def broken(k1, k2):
+        raise schur.BasisExpansionError("two\nlines")
+
+    monkeypatch.setattr(schur, "_mul_basis", broken)
+    code, out, err = run(
+        capsys, "schur", "mul", "--n", "3", "--r", "2",
+        "--a", "1,1,0 | [1,2] | 2,0,0", "--b", "2,0,0 | [1,2] | 1,1,0",
+    )
+    assert code == 3 and out == ""
+    assert err == "internal error: BasisExpansionError: two\\nlines\n"
+
+
 @pytest.mark.parametrize("argv", [("--help",), ("weyl", "--help"), ("verify", "-h")])
 def test_help_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -331,7 +350,7 @@ def test_readme_commands_run(capsys, argv, fmt):
 
 # the CLI fuzz: a flag's value is malformed one time in eight, and otherwise
 # well formed for the drawn --n and --r, though not always valid for them
-MALFORMED = ["", "x", ",", "|", ";", "[", "P(", "-", "1,,2", "bogus"]
+MALFORMED = ["", "x", ",", "|", ";", "[", "P(", "-", "1,,2", "bogus", "a\nb"]
 
 
 @st.composite

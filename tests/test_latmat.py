@@ -115,6 +115,22 @@ def test_matrix_invariants_enforced():
     assert matrix_from_coset(lam, mu, d).entries == a.entries
 
 
+def test_entries_have_one_order():
+    # a matrix stores its entries sorted by (row, column), whatever order
+    # they are given in: equal matrices compare equal, and coset_from_matrix
+    # reads an unsorted one as its sorted form
+    a = PeriodicMatrix(2, 2, ((2, 1, 1), (1, 1, 1)))
+    assert a == PeriodicMatrix(2, 2, ((1, 1, 1), (2, 1, 1)))
+    assert a.entries == ((1, 1, 1), (2, 1, 1))
+    assert coset_from_matrix(a) == (Weight((1, 1)), Weight((2, 0)), AffinePerm.identity(2))
+    for lam in all_weights(3, 3):
+        for d in minimal_reps(3, 3, lam, omega(3, 3), 2):
+            b = matrix_from_coset(lam, omega(3, 3), d)
+            shuffled = PeriodicMatrix(3, 3, b.entries[::-1])
+            assert shuffled == b and hash(shuffled) == hash(b)
+            assert coset_from_matrix(shuffled) == (lam, omega(3, 3), d)
+
+
 def test_render_and_structured():
     om = omega(3, 2)
     a = matrix_from_coset(om, om, AffinePerm.identity(2))

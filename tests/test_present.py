@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from functools import partial
 from itertools import permutations, product
 
@@ -227,6 +228,54 @@ def test_domain_verdicts_match_window(n, r):
         assert b in list(vectors)
         diff = vec_sub(act_expr_basis(n, inst.lhs, b), act_expr_basis(n, inst.rhs, b))
         assert diff and rep.counterexample == f"{render_basis(b)} -> {render_vector(diff)}"
+
+
+def _first_live_term(n: int, r: int, insts: list[RelationInstance]):
+    """The first instance with a term of lhs or rhs that is nonzero on some
+    tensor of the box [1, n]^r (of its weight-omega part for an omega-space
+    relation; any term, for a phi relation), the side that holds the term
+    and the term alone; None if there is none.  The box holds every
+    verification domain, and a complete domain sees what the box sees."""
+    box = list(product(range(1, n + 1), repeat=r))
+    for inst in insts:
+        vectors = [b for b in box if inst.domain != "omega" or weight_of(n, b) == omega(n, r)]
+        for side in ("lhs", "rhs"):
+            expr = getattr(inst, side)
+            for key, coeff in expr.terms.items():
+                if inst.domain == "phi":
+                    return inst, side, SchurElement(n, r, {key: coeff})
+                term = OperatorExpr({key: coeff})
+                if any(act_expr_basis(n, term, b) for b in vectors):
+                    return inst, side, term
+    return None
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 2)])
+def test_every_row_has_a_negative_control(n, r):
+    # each row of the eight tensor suites, of LEMMAS and of q17-19, with one
+    # live term's coefficient times v: lhs - rhs changes by (v - 1) * term,
+    # so a PASS would mean that the domain or the per-term grading missed a
+    # nonzero tensor.  The counterexample replays from the domain.  A row
+    # without instances at (n, r), such as Q6 at n = 3, has none to corrupt.
+    for s in [SUITES[name] for name in SUITE_NAMES] + [LEMMAS]:
+        insts = s.instances(n, r)
+        for row, _, _ in s.rows:
+            row_insts = [inst for inst in insts if inst.name == row]
+            if not row_insts:
+                continue
+            found = _first_live_term(n, r, row_insts)
+            assert found is not None, (row, n, r)
+            inst, side, term = found
+            bad = replace(inst, **{side: getattr(inst, side) + term.scaled(LaurentPoly.v() - 1)})
+            (good,), (rep,) = verify_all(n, r, [inst]), verify_all(n, r, [bad])
+            assert good.passed and not rep.passed, (rep.line(), good.line())
+            if inst.domain == "phi":
+                assert rep.counterexample == (bad.lhs - bad.rhs).render()
+                continue
+            text, vector = rep.counterexample.split(" -> ")
+            (b,) = [b for b in verification_domain(n, r, bad)[0] if render_basis(b) == text]
+            diff = vec_sub(act_expr_basis(n, bad.lhs, b), act_expr_basis(n, bad.rhs, b))
+            assert vector == render_vector(diff), rep.line()
 
 
 _REAL_ACT = tensor._act_basis

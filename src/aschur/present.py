@@ -19,16 +19,19 @@ relation instance passes when lhs - rhs annihilates every basis tensor
 with indices in [1, n], or for an omega-space relation the r! of them of
 weight omega.  The action commutes with adding n to any single index
 (see aschur.tensor), so a pass is equality on all of V^(x)r, or on the
-omega weight space V_omega.  Two lemmas shrink that box and keep it
+omega weight space V_omega.  Three lemmas shrink that box and keep it
 complete (verification_domain), and tensor.word_support reads the facts
-both need off each distinct word in one scan.  Grading: a word with a
-projector is zero off one source weight, so when every term has one,
-only those weight spaces are evaluated.  Inert residues: an index whose
-residue no symbol of a P- and R-free relation touches is never moved or
-counted, so one representative residue stands for all such indices.
-Every report names the domain it evaluated and says that it is
-complete.  The phi-basis relations Q17-Q19 are identities of
-SchurElements, checked exactly.
+the first two need off each distinct word in one scan.  Grading: a word
+with a projector is zero off one source weight, so when every term has
+one, only those weight spaces are evaluated.  Inert residues: an index
+whose residue no symbol of a P- and R-free relation touches is never
+moved or counted, so one representative residue stands for all such
+indices.  Orbits: a word without E and F commutes with permuting the
+tensor positions (the classical Schur-Weyl symmetry), so for a relation
+with no E or F one nondecreasing tensor stands for its S_r-orbit.  Each
+domain is built once and cached on plain keys.  Every report names the
+domain it evaluated and says that it is complete.  The phi-basis
+relations Q17-Q19 are identities of SchurElements, checked exactly.
 
 LEMMAS holds, in the same row format, the identities the paper proves
 beside the relations: the cancellation principle F_i^c E_i^c 1_lam =
@@ -47,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import groupby, product
+from itertools import combinations_with_replacement, groupby, product
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -144,40 +147,81 @@ class CheckReport:
         }
 
 
+Domain = tuple[tuple[Basis, ...], str]  # the tensors and the window text
+
+
 @lru_cache(maxsize=None)
-def _weight_space(n: int, lam: Weight) -> tuple[Basis, ...]:
-    """The basis tensors of weight lam with indices in [1, n]; cached, as
-    the instances of a suite share a few weights."""
-    return tuple(weight_space_basis(n, lam, 1, n))
+def _weight_space(n: int, lam: Weight, untwisted: bool = False) -> tuple[Basis, ...]:
+    """The basis tensors of weight lam with indices in [1, n], or for an
+    untwisted instance its one nondecreasing tensor; cached, as the
+    instances of a suite share a few weights."""
+    space = weight_space_basis(n, lam, 1, n)
+    return tuple(b for b in space if not untwisted or list(b) == sorted(b))
 
 
-def _domain(n: int, r: int, inst: RelationInstance) -> tuple[Iterable[Basis], str, dict]:
-    """verification_domain's tensors and window, and the word_support of
-    each distinct word of lhs and rhs, which picks both."""
+def _tensors(indices: Iterable[int], r: int, untwisted: bool) -> tuple[Basis, ...]:
+    """indices^r in lexicographic order, or for an untwisted instance its
+    nondecreasing members."""
+    return tuple(combinations_with_replacement(indices, r) if untwisted
+                 else product(indices, repeat=r))
+
+
+def _window(lead: str, untwisted: bool, space: str) -> str:
+    return f"{lead}{', nondecreasing tensors only' if untwisted else ''}; complete on {space}"
+
+
+# The domain builders, each cached on plain keys, as the instances of a
+# suite share a few domains.
+
+
+@lru_cache(maxsize=None)
+def _omega_domain(n: int, r: int, untwisted: bool) -> Domain:
+    return (_weight_space(n, omega(n, r), untwisted),
+            _window(f"omega weight space, indices in [1,{n}]", untwisted, "V_omega"))
+
+
+@lru_cache(maxsize=None)
+def _graded_domain(n: int, r: int, weights: frozenset, untwisted: bool) -> Domain:
+    ordered = sorted(weights, reverse=True)
+    names = " ".join(lam.render() for lam in ordered) or "none (every term is zero)"
+    lead = f"weight spaces {names} with indices in [1,{n}]"
+    return (tuple(b for lam in ordered for b in _weight_space(n, lam, untwisted)),
+            _window(lead, untwisted, f"V^(x){r}"))
+
+
+@lru_cache(maxsize=None)
+def _inert_domain(n: int, r: int, active: frozenset, untwisted: bool) -> Domain:
+    c = min(set(range(1, n + 1)) - active)
+    lead = f"indices in {{{','.join(map(str, sorted(active)))}}} plus {c} for every other residue"
+    return _tensors(sorted(active | {c}), r, untwisted), _window(lead, untwisted, f"V^(x){r}")
+
+
+@lru_cache(maxsize=None)
+def _box_domain(n: int, r: int, untwisted: bool) -> Domain:
+    return (_tensors(range(1, n + 1), r, untwisted),
+            _window(f"all basis tensors with indices in [1,{n}]", untwisted, f"V^(x){r}"))
+
+
+def _domain(n: int, r: int, inst: RelationInstance) -> tuple[tuple[Basis, ...], str, dict, bool]:
+    """verification_domain's tensors and window, the word_support of each
+    distinct word of lhs and rhs, and whether the instance is untwisted (no
+    word has E or F): the distinct words pick all of them."""
     support = {w: word_support(n, r, w) for w in {**inst.lhs.terms, **inst.rhs.terms}}
+    untwisted = not any(kind in ("E", "F") for w in support for kind, _, _ in w)
     if inst.domain == "omega":
-        return (_weight_space(n, omega(n, r)),
-                f"omega weight space, indices in [1,{n}]; complete on V_omega", support)
-    complete = f"; complete on V^(x){r}"
+        return (*_omega_domain(n, r, untwisted), support, untwisted)
     pinned = [weights for weights, _ in support.values()]
     if None not in pinned:
-        ordered = sorted(set().union(*pinned), reverse=True)
-        names = " ".join(lam.render() for lam in ordered) or "none (every term is zero)"
-        return ([b for lam in ordered for b in _weight_space(n, lam)],
-                f"weight spaces {names} with indices in [1,{n}]{complete}", support)
+        return (*_graded_domain(n, r, frozenset().union(*pinned), untwisted), support, untwisted)
     touched = [residues for _, residues in support.values()]
     if None not in touched:
-        active = set().union(*touched)
+        active = frozenset().union(*touched)
         if len(active) < n:
-            c = min(set(range(1, n + 1)) - active)
-            shown = ",".join(map(str, sorted(active)))
-            return (product(sorted(active | {c}), repeat=r),
-                    f"indices in {{{shown}}} plus {c} for every other residue{complete}", support)
-    return (product(range(1, n + 1), repeat=r),
-            f"all basis tensors with indices in [1,{n}]{complete}", support)
+            return (*_inert_domain(n, r, active, untwisted), support, untwisted)
+    return (*_box_domain(n, r, untwisted), support, untwisted)
 
 
-def verification_domain(n: int, r: int, inst: RelationInstance) -> tuple[Iterable[Basis], str]:
+def verification_domain(n: int, r: int, inst: RelationInstance) -> tuple[tuple[Basis, ...], str]:
     """The basis tensors verify_identity evaluates an instance on, and the
     window text naming them: the first of these complete domains that
     applies.  Both lemma facts come from one tensor.word_support scan of
@@ -191,14 +235,30 @@ def verification_domain(n: int, r: int, inst: RelationInstance) -> tuple[Iterabl
       indices in S and c are evaluated.
     - full: [1, n]^r.
 
+    Orbits: when no word has E or F (the instance is untwisted), only the
+    nondecreasing tensors t_1 <= ... <= t_r of that domain are evaluated,
+    and the window says so before its completeness claim.  K_i^(+-1) and
+    H_i read a residue count, e_i and f_i are twist-free sums over the
+    positions, R^(+-1) shifts every index and P(lam) reads the weight, so
+    each of them, and every word made of them, commutes with swapping two
+    tensor positions.  Every domain above is S_r-stable (a weight space, a
+    product over a residue set, or the box), so each S_r-orbit keeps
+    exactly one member, and lhs - rhs is zero on the orbit when it is zero
+    there.  E_i and F_i carry the twist K_i K_{i+1}^-1 on the positions
+    after or before them and do not commute with the swaps.  Each domain
+    is built once per (n, r) and plain key (the pinned weights, the
+    touched residues, untwisted) and cached.
+
     >>> zero = OperatorExpr.zero()
     >>> vecs, window = verification_domain(
     ...     3, 2, RelationInstance("", "", _w(E(1), P(Weight((1, 1, 0)))), zero))
     >>> list(vecs), window
     ([(1, 2), (2, 1)], 'weight spaces (1,1,0) with indices in [1,3]; complete on V^(x)2')
     >>> vecs, window = verification_domain(4, 2, RelationInstance("", "", _w(K(1), K(2)), zero))
-    >>> len(list(vecs)), window
-    (9, 'indices in {1,2} plus 3 for every other residue; complete on V^(x)2')
+    >>> len(list(vecs))
+    6
+    >>> print(window)
+    indices in {1,2} plus 3 for every other residue, nondecreasing tensors only; complete on V^(x)2
     >>> vecs, window = verification_domain(
     ...     3, 2, RelationInstance("", "", _w(Rinv, E(2), R), _w(E(1))))
     >>> len(list(vecs)), window
@@ -212,33 +272,39 @@ def verify_identity(n: int, r: int, inst: RelationInstance) -> CheckReport:
     (verification_domain); exact zero means pass on all of V^(x)r, or of
     V_omega for an omega-space relation.
 
-    Completeness rests on three lemmas.  Shift: the action commutes with
+    Completeness rests on four lemmas.  Shift: the action commutes with
     adding n to one index (aschur.tensor), so [1, n]^r, or its weight-omega
     part, stands for every tensor.  Grading: a word that contains P(lam)
     is zero off one source weight, so when every term has a projector only
     those weight spaces can carry a difference.  Inert residues: an index
     whose residue no symbol touches is never moved and never counted, so
-    one representative residue stands for all of them.
+    one representative residue stands for all of them.  Orbits: a word
+    without E and F commutes with permuting the tensor positions, so for
+    an instance with no E or F one nondecreasing tensor stands for its
+    S_r-orbit.
 
     Each distinct word of lhs and rhs is scanned once (tensor.word_support),
-    and those results pick both the domain and each run's starts: the
-    grading lemma also applies per term.  Each word of lhs - rhs runs once,
-    in one batched integer pass (tensor.nonzero_starts), from only the
-    domain tensors it can be nonzero on: those of its source weight when it
-    has a projector, none when it is zero everywhere, and all of them
-    otherwise.  Laurent vectors are built only for the counterexample of a
-    FAIL, on the first flagged tensor in domain order.
+    and those results pick both the domain, built once and cached, and
+    each run's starts: the grading lemma also applies per term.  Each word
+    of lhs - rhs runs once, in one batched integer pass
+    (tensor.nonzero_starts), from only the domain tensors it can be nonzero
+    on: those of its source weight when it has a projector (nondecreasing
+    only, for an untwisted instance), none when it is zero everywhere, and
+    all of them otherwise.  Laurent vectors are built only for the
+    counterexample of a FAIL, on the first flagged tensor in domain order;
+    each domain is in lexicographic order within a weight space, so that
+    tensor is the one the unreduced domain would give.
     """
-    vectors, window, support = _domain(n, r, inst)
-    vectors = list(vectors)
+    vectors, window, support, untwisted = _domain(n, r, inst)
     runs = []
-    for word, coeff in (inst.lhs - inst.rhs).terms.items():
+    for word, coeff in vec_sub(inst.lhs.terms, inst.rhs.terms).items():
         pinned = support[word][0]
         if pinned is None:
             runs.append((word, coeff, vectors))
         elif pinned and (inst.domain != "omega" or pinned[0] == omega(n, r)):
-            # every domain but omega holds all of [1, n]^r of a pinned weight
-            runs.append((word, coeff, _weight_space(n, pinned[0])))
+            # every domain but omega holds all of [1, n]^r of a pinned weight,
+            # or all its nondecreasing tensors when untwisted
+            runs.append((word, coeff, _weight_space(n, pinned[0], untwisted)))
     flagged = nonzero_starts(n, runs)
     if not flagged:
         return CheckReport(inst.name, inst.description, inst.params, window, True)
@@ -265,7 +331,7 @@ def verify_all(n: int, r: int, insts: Iterable[RelationInstance]) -> list[CheckR
     so that the instances are freed before the sort."""
     reports = [verify_schur_relation(inst) if inst.domain == "phi" else verify_identity(n, r, inst)
                for inst in insts]
-    reports.sort(key=lambda rep: (rep.name, sorted(rep.params.items(), key=str)))
+    reports.sort(key=lambda rep: (rep.name, sorted(rep.params.items())))
     return reports
 
 

@@ -11,6 +11,9 @@ K quotient, on the whole box), R1-sum of idempotented (the sum of all
 projectors, one multi-term word per weight), every instance of
 hecke-tau (long multi-term words on the omega weight space), and all
 230 instances of classical (many short words, mostly 0 = 0 checks).
+classical is also timed on its 9,721 instances at (6, 4), where the
+orbit reduction of present.verification_domain (no word has E or F)
+has room to show: a faster pass there means a larger (n, r) in reach.
 """
 from __future__ import annotations
 
@@ -36,14 +39,16 @@ def test_verify_row(benchmark, name, row, params):
     assert benchmark(verify_identity, N, R, inst).passed
 
 
-@pytest.mark.parametrize("name", ["hecke-tau", "classical"])
-def test_verify_suite(benchmark, name):
-    insts = suite(name, N, R)
+@pytest.mark.parametrize("name,n,r", [
+    ("hecke-tau", N, R), ("classical", N, R), ("classical", 6, 4),
+], ids=["hecke-tau", "classical", "classical-6-4"])
+def test_verify_suite(benchmark, name, n, r):
+    insts = suite(name, n, r)
     for inst in insts:
-        verify_identity(N, R, inst)
+        verify_identity(n, r, inst)
 
     def run():
-        return [verify_identity(N, R, inst) for inst in insts]
+        return [verify_identity(n, r, inst) for inst in insts]
 
     reports = benchmark(run)
     assert reports and all(rep.passed for rep in reports)

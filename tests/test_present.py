@@ -7,7 +7,7 @@ import pytest
 
 from aschur import cli, present, tensor
 from aschur.aweyl import AffinePerm
-from aschur.operators import E, F, K, OperatorExpr, P, R, Sym
+from aschur.operators import E, F, K, OperatorExpr, P, R, Rinv, Sym
 from aschur.present import (
     LEMMAS,
     SUITE_NAMES,
@@ -36,6 +36,7 @@ from aschur.ring import LaurentPoly, gauss_binom, quantum_fact
 from aschur.schur import SchurBasisIndex, SchurElement
 from aschur.tensor import (
     act_expr_basis,
+    act_symbol,
     render_basis,
     render_vector,
     tau,
@@ -228,6 +229,83 @@ def test_domain_verdicts_match_window(n, r):
         assert b in list(vectors)
         diff = vec_sub(act_expr_basis(n, inst.lhs, b), act_expr_basis(n, inst.rhs, b))
         assert diff and rep.counterexample == f"{render_basis(b)} -> {render_vector(diff)}"
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 2)])
+def test_inert_domain_sees_the_extra_residue(n, r):
+    # K_1 K_2 = v^r touches only S = {1, 2} and fails only on a tensor with
+    # an index outside S: the inert-residue domain must hold the
+    # representative c = 3, and the counterexample replays from it
+    inst = RelationInstance("K1K2-corrupted", "K_1 K_2 = v^r", OperatorExpr.word([K(1), K(2)]),
+                            OperatorExpr.word([], LaurentPoly.v(r)))
+    rep = verify_identity(n, r, inst)
+    assert rep.window.startswith("indices in {1,2} plus 3 for every other residue"), rep.line()
+    assert not rep.passed and not _box_verdict(n, r, inst), rep.line()
+    assert rep.counterexample == "e[1,3] -> (-v^2 + v)*e[1,3]"
+    b = (1, 3)
+    assert b in verification_domain(n, r, inst)[0]
+    diff = vec_sub(act_expr_basis(n, inst.lhs, b), act_expr_basis(n, inst.rhs, b))
+    assert rep.counterexample == f"{render_basis(b)} -> {render_vector(diff)}"
+
+
+def _swap(j: int, vec: dict) -> dict:
+    """The vector with tensor positions j and j + 1 exchanged."""
+    return {b[:j] + (b[j + 1], b[j]) + b[j + 2:]: c for b, c in vec.items()}
+
+
+def _commutes_with_swaps(n: int, r: int, sym: Sym) -> bool:
+    return all(act_symbol(n, sym, _swap(j, {b: ONE})) == _swap(j, act_symbol(n, sym, {b: ONE}))
+               for b in product(range(-n, 2 * n + 1), repeat=r) for j in range(r - 1))
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 2), (3, 3), (2, 3)])
+def test_untwisted_symbols_commute_with_position_swaps(n, r):
+    # the orbit lemma: K, K^-1, H, e, f, R, R^-1 and P each commute with
+    # every adjacent swap of tensor positions on [-n, 2n]^r, so a word made
+    # of them does too; E and F do not, which is why an instance with
+    # either one keeps its whole domain
+    syms = [Sym(kind, i) for kind in ("K", "Kinv", "H", "e", "f") for i in range(1, n + 1)]
+    syms += [R, Rinv] + [P(lam) for lam in all_weights(n, r)]
+    for sym in syms:
+        assert _commutes_with_swaps(n, r, sym), sym
+    assert not _commutes_with_swaps(n, r, E(1)) and not _commutes_with_swaps(n, r, F(1))
+
+
+def _untwisted(inst: RelationInstance) -> bool:
+    words = set(inst.lhs.terms) | set(inst.rhs.terms)
+    return not any(sym.kind in ("E", "F") for word in words for sym in word)
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 2), (4, 3)])
+def test_orbit_domains_keep_the_box_verdict(n, r):
+    # every instance of the eight tensor suites and of LEMMAS, and its
+    # corruption with the first lhs term times v, gets the verdict of the
+    # whole unreduced box [1, n]^r; an untwisted instance evaluates only
+    # nondecreasing tensors and says so, any other none of them less; and
+    # each cached domain equals a fresh build
+    insts = [i for name in SUITE_NAMES if name != "q17-19" for i in suite(name, n, r)]
+    insts += LEMMAS.instances(n, r)
+    untwisted = 0
+    for inst in insts:
+        term = OperatorExpr(dict(list(inst.lhs.terms.items())[:1]))
+        bad = replace(inst, lhs=inst.lhs + term.scaled(LaurentPoly.v() - 1))
+        for checked in (inst, bad):
+            rep = verify_identity(n, r, checked)
+            assert rep.passed == _box_verdict(n, r, checked), rep.line()
+        vectors, window = verification_domain(n, r, inst)
+        if _untwisted(inst):
+            untwisted += 1
+            assert ", nondecreasing tensors only; complete on V" in window, rep.line()
+            assert all(list(b) == sorted(b) for b in vectors), rep.line()
+        else:
+            assert "nondecreasing" not in window, rep.line()
+    assert 0 < untwisted < len(insts)
+    cached = [verification_domain(n, r, inst) for inst in insts]
+    builders = (present._weight_space, present._omega_domain, present._graded_domain,
+                present._inert_domain, present._box_domain)
+    for builder in builders:
+        builder.cache_clear()
+    assert [verification_domain(n, r, inst) for inst in insts] == cached
 
 
 def _first_live_term(n: int, r: int, insts: list[RelationInstance]):
